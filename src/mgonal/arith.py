@@ -326,3 +326,9 @@ def unit_square_class_reps(p: int) -> tuple[int, ...]:
     if p == 2:
         return (1, 3, 5, 7)
     return (1, least_nonresidue(p))
+
+
+def bit_bytes(bits: int, n: int) -> bytes:
+    """Byte i is bit i of ``bits``, for 0 <= i < n (0 <= bits < 2**n)."""
+    text = bin(bits)[:1:-1].ljust(n, "0")  # least significant bit first
+    return text.encode().translate(bytes.maketrans(b"01", b"\x00\x01"))

@@ -11,12 +11,12 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from multiprocessing import get_context
+from itertools import compress
 
+from .arith import bit_bytes
 from .errors import InputError, ResourceError
-from .localrep import locally_represents
-from .polygonal import MgonalForm, decompose_target, polygonal_number
+from .localrep import local_flags, locally_represents
+from .polygonal import MgonalForm, _term_table, decompose_target
 from .serialize import json_int
 
 #: Hard ceiling on scan bounds; above this the table alone is unreasonable.
@@ -27,28 +27,8 @@ MAX_BOUND = 50_000_000
 # Global representability table (exact, bound-complete)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _value_table(m: int, a: int, bound: int):
-    """Term values a*P_m(x) <= bound: (distinct sorted values, preference order).
-
-    Preference order (descending value, positive x first) fixes witness
-    reconstruction deterministically.
-    """
-    pairs = [(0, 0)]
-    k = 1
-    while True:
-        hit = False
-        for x in (k, -k):
-            v = a * polygonal_number(m, x)
-            if v <= bound:
-                pairs.append((v, x))
-                hit = True
-        if not hit:
-            break
-        k += 1
-    pairs.sort(key=lambda t: (-t[0], t[1] < 0, abs(t[1])))
-    values = sorted({v for v, _ in pairs})
-    return values, tuple(pairs)
+#: Old name of the shared term table; the benchmark's trace reads its cache.
+_value_table = _term_table
 
 
 def _reach_stages(form: MgonalForm, bound: int):
@@ -57,9 +37,9 @@ def _reach_stages(form: MgonalForm, bound: int):
     reach = [1]
     acc = 1
     for a in form.coeffs:
-        values, _ = _value_table(form.m, a, bound)
+        _, values_desc = _term_table(form.m, a, bound)
         nxt = 0
-        for v in values:
+        for v in set(values_desc):  # x and -x share a value when m = 4
             nxt |= acc << v
         acc = nxt & mask
         reach.append(acc)
@@ -70,8 +50,8 @@ def _witness_from_stages(form: MgonalForm, stages, N: int) -> tuple[int, ...]:
     out = []
     rem = N
     for i in range(form.rank - 1, -1, -1):
-        _, pairs = _value_table(form.m, form.coeffs[i], N)
-        for v, x in pairs:
+        terms, _ = _term_table(form.m, form.coeffs[i], N)
+        for v, x in terms:
             if v <= rem and (stages[i] >> (rem - v)) & 1:
                 out.append(x)
                 rem -= v
@@ -98,7 +78,7 @@ class ExceptionalReport:
     max_exceptional: int | None
     timings: dict
     _stages: list | None = None
-    _local: list | None = None
+    _local: bytes | None = None
 
     def witness(self, N: int) -> tuple[int, ...] | None:
         """Stored/re-derived witness for a represented N <= bound, else None."""
@@ -115,7 +95,7 @@ class ExceptionalReport:
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
         if self._local is not None:
-            return self._local[N]
+            return bool(self._local[N])
         return bool(locally_represents(self.form, N))
 
     def to_json(self, *, stable: bool = False) -> dict:
@@ -156,46 +136,14 @@ class ExceptionalReport:
         return buf.getvalue()
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(m, coeffs):
-    _WORKER_STATE["form"] = MgonalForm(m=m, coeffs=coeffs)
-
-
-def _worker_scan(chunk):
-    lo, hi = chunk
-    form = _WORKER_STATE["form"]
-    return [bool(locally_represents(form, n)) for n in range(lo, hi)]
-
-
-def _local_flags(form: MgonalForm, bound: int, jobs: int, progress) -> list[bool]:
-    if jobs <= 1 or bound < 2048:
-        flags = []
-        for n in range(bound + 1):
-            flags.append(bool(locally_represents(form, n)))
-            if progress and n and n % 200_000 == 0:
-                print(f"  local scan {n}/{bound}", file=sys.stderr)
-        return flags
-    chunk = (bound + jobs) // jobs
-    chunks = [(lo, min(lo + chunk, bound + 1)) for lo in range(0, bound + 1, chunk)]
-    ctx = get_context("fork") if sys.platform != "win32" else get_context("spawn")
-    with ctx.Pool(jobs, initializer=_worker_init,
-                  initargs=(form.m, form.coeffs)) as pool:
-        parts = pool.map(_worker_scan, chunks)
-    flags: list[bool] = []
-    for part in parts:
-        flags.extend(part)
-    return flags
-
-
-def exceptional_set(form: MgonalForm, bound: int, *, jobs: int = 1,
-                    progress: bool = False) -> ExceptionalReport:
-    """Exact exceptional set on [0, bound]; deterministic for any job count.
+def exceptional_set(form: MgonalForm, bound: int, *,
+                    jobs: int = 1) -> ExceptionalReport:
+    """Exact exceptional set on [0, bound].
 
     The represented side is a complete subset-sum reachability table over the
     (nonnegative) term values, so every verdict below the bound is exact; the
-    local side is chunked across workers and merged in order.
+    local side is one periodic residue pattern per prime (``local_flags``).
+    ``jobs`` is accepted for compatibility and has no effect.
     """
     if bound < 1:
         raise InputError(f"bound must be positive, got {bound}")
@@ -213,21 +161,18 @@ def exceptional_set(form: MgonalForm, bound: int, *, jobs: int = 1,
     stages = _reach_stages(form, bound)
     reach = stages[-1]
     t1 = time.perf_counter()
-    local = _local_flags(form, bound, jobs, progress)
+    local = local_flags(form, bound)
     t2 = time.perf_counter()
-    exceptional = tuple(
-        n for n in range(bound + 1) if local[n] and not (reach >> n) & 1
-    )
-    represented_count = sum(
-        1 for n in range(bound + 1) if (reach >> n) & 1
-    )
-    local_count = sum(local)
+    n = bound + 1
+    unreached = (int.from_bytes(local, "big")
+                 & ~int.from_bytes(bit_bytes(reach, n), "big")).to_bytes(n, "big")
+    exceptional = tuple(compress(range(n), unreached))
     return ExceptionalReport(
         form=form,
         bound=bound,
         exceptional=exceptional,
-        locally_represented_count=local_count,
-        represented_count=represented_count,
+        locally_represented_count=local.count(1),
+        represented_count=reach.bit_count(),
         max_exceptional=exceptional[-1] if exceptional else None,
         timings={
             "reach_seconds": round(t1 - t0, 6),

@@ -23,13 +23,6 @@ from .quadratic import jordan_decompose, reduced_quadratic
 from .serialize import json_int
 from .theorem import admissible_k, k_constant
 
-_KNOWN_FLAGS = [
-    "--m", "--coeffs", "--n", "--x", "--prime", "--bound", "--multiplier",
-    "--m-min", "--m-max", "--jobs", "--format", "--precision",
-    "--stable-output", "--expect-represented",
-]
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         if "unrecognized arguments:" in message:
@@ -105,7 +98,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("exceptional", help="exceptional-set census up to a bound")
     form_flags(p)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="no effect")
     common_flags(p)
 
     p = sub.add_parser("kconst", help="bound on the auxiliary parameter k")
@@ -129,10 +122,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--multiplier", type=str, default="20",
                    help="bound multiplier (integer, fraction like 5/2, or decimal)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="no effect")
     common_flags(p)
 
     return parser
+
+
+#: Every long option of every subcommand, for "did you mean" hints.
+_KNOWN_FLAGS = sorted({
+    opt for action in _build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for sub in action.choices.values() for a in sub._actions
+    for opt in a.option_strings if opt.startswith("--")
+})
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -199,8 +201,7 @@ def _cmd_local(args) -> int:
 
 def _cmd_exceptional(args) -> int:
     form = MgonalForm(m=args.m, coeffs=args.coeffs)
-    report = exceptional_set(form, args.bound, jobs=max(1, args.jobs),
-                             progress=args.bound >= 100_000)
+    report = exceptional_set(form, args.bound, jobs=max(1, args.jobs))
     payload = report.to_json(stable=args.stable_output)
     payload["csv"] = report.to_csv()
     lines = [

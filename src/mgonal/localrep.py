@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .arith import is_prime, unit_square_class_reps
 from .errors import InputError
 from .polygonal import MgonalForm
-from .quadratic import _diagonal_solvable
+from .quadratic import _diagonal_solvable, _diagonal_solvable_run
 from .arith import odd_prime_divisors
 
 UNIMODULAR_SHORTCUT = "unimodular-universal"
@@ -69,6 +69,26 @@ def _rule_for(m: int, p: int) -> int:
     return 1 if (m - 2) % p == 0 else 3
 
 
+def _criterion(form: MgonalForm, p: int, allow_shortcut: bool = True):
+    """(rule, alpha, beta): over Z_p the form represents N iff the diagonal
+    form represents c = alpha*N + beta, with alpha a p-adic unit; alpha is None
+    when the rule represents every N."""
+    m = form.m
+    rule = _rule_for(m, p)
+    if rule in (1, 2):
+        return rule, None, None
+    if rule == 3:
+        if (
+            allow_shortcut
+            and form.rank >= _MIN_SHORTCUT_RANK
+            and all(ai % p for ai in form.coeffs)
+        ):
+            return UNIMODULAR_SHORTCUT, None, None
+        return rule, 8 * (m - 2), form.coeff_sum * (m - 4) ** 2
+    # rule 4, m = 0 (mod 4) so (m-4)/4 is exact
+    return rule, (m - 2) // 2, form.coeff_sum * ((m - 4) // 4) ** 2
+
+
 def locally_represents_at(form: MgonalForm, N: int, p: int,
                           *, allow_shortcut: bool = True) -> LocalVerdict:
     """Decide representability of N by the form over Z_p."""
@@ -76,23 +96,11 @@ def locally_represents_at(form: MgonalForm, N: int, p: int,
         raise InputError(f"{p!r} is not prime")
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
-    m = form.m
-    a = form.coeffs
-    S = form.coeff_sum
-    rule = _rule_for(m, p)
-    if rule in (1, 2):
+    rule, alpha, beta = _criterion(form, p, allow_shortcut)
+    if alpha is None:
         return LocalVerdict(p=p, represented=True, rule=rule)
-    if rule == 3:
-        if (
-            allow_shortcut
-            and form.rank >= _MIN_SHORTCUT_RANK
-            and all(ai % p for ai in a)
-        ):
-            return LocalVerdict(p=p, represented=True, rule=UNIMODULAR_SHORTCUT)
-        c = 8 * (m - 2) * N + S * (m - 4) ** 2
-    else:  # rule 4, m = 0 (mod 4) so (m-4)/4 is exact
-        c = (m - 2) // 2 * N + S * ((m - 4) // 4) ** 2
-    represented = _diagonal_solvable(a, c, p)
+    c = alpha * N + beta
+    represented = _diagonal_solvable(form.coeffs, c, p)
     return LocalVerdict(p=p, represented=represented, rule=rule, criterion_value=c)
 
 
@@ -122,6 +130,19 @@ def locally_represents(form: MgonalForm, N: int) -> LocalRepresentation:
         verdicts.append(v)
         ok = ok and v.represented
     return LocalRepresentation(represented=ok, verdicts=tuple(verdicts))
+
+
+def local_flags(form: MgonalForm, bound: int) -> bytes:
+    """Byte N is 1 iff ``locally_represents(form, N)``, for 0 <= N <= bound:
+    one periodic residue pattern per prime, combined by AND."""
+    n = bound + 1
+    flags = int.from_bytes(b"\x01" * n, "big")
+    for p in relevant_primes(form):
+        _, alpha, beta = _criterion(form, p)
+        if alpha is not None:
+            run = _diagonal_solvable_run(form.coeffs, p, alpha, beta, n)
+            flags &= int.from_bytes(run, "big")
+    return flags.to_bytes(n, "big")
 
 
 def is_locally_universal(form: MgonalForm) -> bool:

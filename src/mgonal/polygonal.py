@@ -4,6 +4,7 @@ representation decision by pruned exhaustive search."""
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -130,8 +131,8 @@ class Witness:
 def _term_table(m: int, a: int, cap: int):
     """All values a*P_m(x) <= cap as (value, x), largest value first.
 
-    Ties break positive-x first, then by |x|; the value list (strictly
-    ascending, deduplicated) is kept alongside for bisection.
+    Ties break positive-x first, then by |x|; the values alone, in the same
+    order, are kept alongside for bisection.
     """
     terms = [(0, 0)]
     k = 1
@@ -175,7 +176,7 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
         lo = 0
         if terms and terms[0][0] > rem:
             # values_desc is descending; find first index with value <= rem
-            lo = _first_at_most(values_desc, rem)
+            lo = bisect_left(values_desc, -rem, key=operator.neg)
         for v, x in terms[lo:]:
             tail = walk(i + 1, rem - v)
             if tail is not None:
@@ -184,18 +185,6 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
 
     sol = walk(0, N)
     return Witness(sol) if sol is not None else None
-
-
-def _first_at_most(values_desc, cap: int) -> int:
-    """Index of the first entry <= cap in a descending list (all > cap -> len)."""
-    lo, hi = 0, len(values_desc)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values_desc[mid] > cap:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def quadratic_linear_sums(form: MgonalForm, x) -> tuple[int, int]:

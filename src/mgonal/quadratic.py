@@ -13,6 +13,7 @@ from itertools import product
 from .arith import (
     INFINITY,
     PAdicContext,
+    bit_bytes,
     hilbert_symbol,
     is_padic_square,
     modinv,
@@ -186,6 +187,31 @@ def _diagonal_solvable(coeffs: tuple[int, ...], c: int, p: int) -> bool:
             return False
         c //= p * p
         v -= 2
+
+
+def _diagonal_solvable_run(coeffs: tuple[int, ...], p: int, alpha: int, beta: int,
+                           n: int) -> bytearray:
+    """Byte i is 1 iff ``_diagonal_solvable(coeffs, alpha*i + beta, p)``, for
+    0 <= i < n, alpha a p-adic unit and beta >= 0.  The residue lookup tiles
+    with period p^D; the descent to c/p^2 happens only on the class i = t0
+    (mod p^2), where c/p^2 is again affine in the index with the same alpha,
+    so it recurses on that slice, p^2 times shorter."""
+    reachable, _, mod = _unit_reachable(coeffs, p)
+    table = bit_bytes(reachable, mod)
+    period = bytes(table[(alpha * i + beta) % mod] for i in range(min(mod, n)))
+    out = bytearray(period * -(-n // len(period)))
+    del out[n:]
+    q = p * p
+    t0 = -beta * pow(alpha, -1, q) % q
+    if beta == 0:  # c = 0 at i = 0 is solvable; the descent class starts at q
+        out[0] = 1
+        t0 = q
+    if t0 < n:
+        sub = _diagonal_solvable_run(coeffs, p, alpha, (alpha * t0 + beta) // q,
+                                     len(range(t0, n, q)))
+        out[t0::q] = (int.from_bytes(out[t0::q], "big")
+                      | int.from_bytes(sub, "big")).to_bytes(len(sub), "big")
+    return out
 
 
 def represents_locally_diagonal(coeffs, c: int, ctx: PAdicContext) -> bool:

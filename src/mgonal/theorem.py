@@ -181,6 +181,8 @@ class AdmissibleSearch:
 
     An empty result for a locally represented target is an anomaly (the
     theory guarantees a pair with k <= K(a)), reported rather than raised.
+    ``scanned_k`` counts the k values the scan visited; ``truncated`` means
+    it stopped at ``k_limit`` before filling ``pair_cap``.
     """
 
     form: MgonalForm
@@ -258,14 +260,8 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     period = 1
     for p in primes:
         period *= p ** exponents[p]
-    scan_stop = min(kc.value + 1, period)
-    truncated = False
-    if k_limit is not None and scan_stop > k_limit:
-        scan_stop = k_limit
-        truncated = True
-        diagnostics.append(
-            f"k scan truncated at {k_limit} (full residue period is {period})"
-        )
+    full_stop = min(kc.value + 1, period)
+    scan_stop = full_stop if k_limit is None else min(full_stop, k_limit)
     scales = _scale_options(form, primes)
     contexts = {p: eq2_context(form, p) for p in primes}
     memo: dict[tuple[int, int, int], Eq2Verdict] = {}
@@ -279,7 +275,9 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
         return memo[key]
 
     pairs: list[AdmissiblePair] = []
+    scanned_k = 0
     for k in range(scan_stop):
+        scanned_k += 1
         for P in scales:
             evidence = []
             for p in primes:
@@ -298,6 +296,11 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
                     break
         if len(pairs) >= pair_cap:
             break
+    truncated = scan_stop < full_stop and len(pairs) < pair_cap
+    if truncated:
+        diagnostics.append(
+            f"k scan truncated at {k_limit} (full residue period is {period})"
+        )
     if not pairs:
         for p in primes:
             exhausted = sum(
@@ -313,6 +316,6 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
         )
     return AdmissibleSearch(
         form=form, N=N, k_bound=kc.value, pairs=tuple(pairs),
-        scanned_k=scan_stop, truncated=truncated,
+        scanned_k=scanned_k, truncated=truncated,
         diagnostics=tuple(diagnostics),
     )

@@ -88,6 +88,25 @@ def test_witnesses_verify():
             assert n in report.exceptional
 
 
+@pytest.mark.parametrize("m, coeffs", [
+    (8, (1, 1, 4)),
+    (7, (3, 9, 1, 6, 6)),
+    (4, (2, 3, 9, 18, 27)),
+    (4, (1, 1, 1, 8)),
+    (20, (1, 4, 16, 64, 5)),
+    (16, (1, 3, 9, 27, 27)),
+    (12, (2, 3, 5, 7, 11)),
+])
+def test_range_local_flags_match_per_n(m, coeffs):
+    form = MgonalForm(m, coeffs)
+    bound = 20_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = exceptional_set(form, bound)
+    for n in range(bound + 1):
+        assert report.locally_represented(n) is bool(locally_represents(form, n)), n
+
+
 def test_parallel_serial_identical():
     form = MgonalForm(6, (1, 1, 2, 2, 3))
     serial = exceptional_set(form, 4000, jobs=1)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mgonal
 from mgonal.cli import main
 
 
@@ -115,6 +120,23 @@ def test_unknown_flag_suggestion(capsys):
                        "--bouund", "7")
     assert code == 2
     assert "did you mean" in err
+    code, _, err = run(capsys, "kconst", "--m", "5", "--coeffs", "1,1,1,1,1",
+                       "--bund", "7")
+    assert code == 2
+    assert "did you mean --bound?" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mgonal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgonal", "eval", "--m", "5",
+         "--coeffs", "1,1,1,1,1", "--x", "1,1,1,0,0", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 3
 
 
 def test_nonprimitive_form_is_usage_error(capsys):

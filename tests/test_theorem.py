@@ -138,6 +138,20 @@ class TestAdmissibleK:
         assert any(pair.k <= 7 and pair.P == 1 for pair in result.pairs)
         assert all(pair.k <= result.k_bound for pair in result.pairs)
 
+    def test_scan_report_counts_visited_k(self):
+        form = MgonalForm(12, (10, 9, 9, 1, 1))
+        result = admissible_k(form, 52, pair_cap=3)
+        assert [(pair.k, pair.P) for pair in result.pairs] == [(0, 1), (0, 2), (1, 1)]
+        assert result.scanned_k == 2
+        assert result.truncated is False
+        assert not any("truncated" in d for d in result.diagnostics)
+        # a k_limit reached before pair_cap is filled is still a truncation
+        short = admissible_k(form, 52, k_limit=1)
+        assert len(short.pairs) < 16
+        assert short.scanned_k == 1
+        assert short.truncated is True
+        assert any("k scan truncated at 1" in d for d in short.diagnostics)
+
     def test_zero_target(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
         result = admissible_k(form, 0)
