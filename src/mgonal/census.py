@@ -6,10 +6,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
@@ -46,21 +48,6 @@ def _reach_stages(form: MgonalForm, bound: int):
     return reach
 
 
-def _witness_from_stages(form: MgonalForm, stages, N: int) -> tuple[int, ...]:
-    out = []
-    rem = N
-    for i in range(form.rank - 1, -1, -1):
-        terms, _ = _term_table(form.m, form.coeffs[i], N)
-        for v, x in terms:
-            if v <= rem and (stages[i] >> (rem - v)) & 1:
-                out.append(x)
-                rem -= v
-                break
-        else:  # pragma: no cover - stages guarantee a decomposition
-            raise ResourceError("witness reconstruction failed")
-    return tuple(reversed(out))
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -79,17 +66,41 @@ class ExceptionalReport:
     timings: dict
     _stages: list | None = None
     _local: bytes | None = None
+    _stage_views: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def _stage_bytes(self, i: int) -> bytes:
+        """Stage i's bitset as little-endian bytes (bit N is byte N >> 3, bit
+        N & 7), made on first use so a probe costs no O(bound) shift."""
+        view = self._stage_views.get(i)
+        if view is None:
+            if self._stages is None:
+                self._stages = _reach_stages(self.form, self.bound)
+            view = self._stages[i].to_bytes(self.bound // 8 + 1, "little")
+            self._stage_views[i] = view
+        return view
 
     def witness(self, N: int) -> tuple[int, ...] | None:
         """Stored/re-derived witness for a represented N <= bound, else None."""
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
-        stages = self._stages if self._stages is not None else _reach_stages(
-            self.form, self.bound
-        )
-        if not (stages[-1] >> N) & 1:
+        if not self._stage_bytes(self.form.rank)[N >> 3] >> (N & 7) & 1:
             return None
-        return _witness_from_stages(self.form, stages, N)
+        out = []
+        rem = N
+        for i in range(self.form.rank - 1, -1, -1):
+            # the census's bound tables, from the first value <= rem
+            terms, values_desc = _term_table(self.form.m, self.form.coeffs[i],
+                                             self.bound)
+            bits = self._stage_bytes(i)
+            for v, x in terms[bisect_left(values_desc, -rem, key=operator.neg):]:
+                k = rem - v
+                if bits[k >> 3] >> (k & 7) & 1:
+                    out.append(x)
+                    rem -= v
+                    break
+            else:  # pragma: no cover - stages guarantee a decomposition
+                raise ResourceError("witness reconstruction failed")
+        return tuple(reversed(out))
 
     def locally_represented(self, N: int) -> bool:
         if not 0 <= N <= self.bound:
@@ -167,17 +178,23 @@ def exceptional_set(form: MgonalForm, bound: int, *,
     unreached = (int.from_bytes(local, "big")
                  & ~int.from_bytes(bit_bytes(reach, n), "big")).to_bytes(n, "big")
     exceptional = tuple(compress(range(n), unreached))
+    locally_represented_count = local.count(1)
+    represented_count = reach.bit_count()
+    t3 = time.perf_counter()
+    reach_s, local_s, extract_s = (round(t1 - t0, 6), round(t2 - t1, 6),
+                                   round(t3 - t2, 6))
     return ExceptionalReport(
         form=form,
         bound=bound,
         exceptional=exceptional,
-        locally_represented_count=local.count(1),
-        represented_count=reach.bit_count(),
+        locally_represented_count=locally_represented_count,
+        represented_count=represented_count,
         max_exceptional=exceptional[-1] if exceptional else None,
         timings={
-            "reach_seconds": round(t1 - t0, 6),
-            "local_seconds": round(t2 - t1, 6),
-            "total_seconds": round(time.perf_counter() - t0, 6),
+            "reach_seconds": reach_s,
+            "local_seconds": local_s,
+            "extract_seconds": extract_s,
+            "total_seconds": round(reach_s + local_s + extract_s, 6),
         },
         _stages=stages,
         _local=local,

@@ -154,16 +154,31 @@ def _term_table(m: int, a: int, cap: int):
 def represents(form: MgonalForm, N: int) -> Witness | None:
     """A verified witness for form = N over the integers, or None.
 
-    Exhaustive over the finite region a_i P_m(x_i) <= N, with capacity
-    pruning; coefficients are processed left to right and candidate values
-    largest-first (positive x preferred on ties), so the witness returned is
-    reproducible.  The last coordinate is resolved by exact inversion.
+    At rank >= 3 a target that fails the local criterion
+    (``locally_represents``) gets an exact early None: an integer solution
+    is a p-adic solution at every prime, so no search can find one.  Rank-1
+    and rank-2 forms, which the local criterion does not cover, always search.
+
+    The search is exhaustive over the finite region a_i P_m(x_i) <= N, with
+    capacity pruning; coefficients are processed left to right and candidate
+    values largest-first (positive x preferred on ties), so the witness
+    returned is reproducible.  The last coordinate is resolved by exact
+    inversion.  The cost follows the target's status rather than its size
+    alone: a locally obstructed target costs one local check, a represented
+    one ends at its first witness, and only an exceptional one (locally
+    represented, not represented) exhausts the region.
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
+    if form.rank >= 3:
+        from .localrep import locally_represents  # localrep imports this module
+        if not locally_represents(form, N).represented:
+            return None
     coeffs = form.coeffs
     m = form.m
     n = len(coeffs)
+    # one table per power-of-two cap serves every target below it
+    cap = 1 << N.bit_length()
 
     def walk(i: int, rem: int):
         if i == n - 1:
@@ -171,12 +186,9 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
                 return None
             x = invert_polygonal(m, rem // coeffs[i])
             return None if x is None else (x,)
-        terms, values_desc = _term_table(m, coeffs[i], N)
-        # skip terms whose value exceeds the remaining capacity
-        lo = 0
-        if terms and terms[0][0] > rem:
-            # values_desc is descending; find first index with value <= rem
-            lo = bisect_left(values_desc, -rem, key=operator.neg)
+        terms, values_desc = _term_table(m, coeffs[i], cap)
+        # values_desc is descending: skip the values above the remaining capacity
+        lo = bisect_left(values_desc, -rem, key=operator.neg)
         for v, x in terms[lo:]:
             tail = walk(i + 1, rem - v)
             if tail is not None:

@@ -3,7 +3,7 @@
 These deliberately avoid the production decision paths: determinants by
 cofactor expansion, local solvability by iterative-deepening congruence
 enumeration with lift verification, isotropy by exhaustive residue search
-over value tables.
+over value tables, global representability by set-based reachability.
 """
 
 from __future__ import annotations
@@ -18,6 +18,27 @@ from mgonal import (
     hensel_refine,
     polygonal_number,
 )
+
+
+def reachable_values(form, bound) -> set[int]:
+    """Every N <= bound with form = N over Z, by set-based reachability over
+    each coefficient's term values (no production search or table)."""
+    reachable = {0}
+    for a in form.coeffs:
+        vals = {0}
+        x = 1
+        while True:
+            hit = False
+            for s in (x, -x):
+                v = a * polygonal_number(form.m, s)
+                if v <= bound:
+                    vals.add(v)
+                    hit = True
+            if not hit:
+                break
+            x += 1
+        reachable = {r + v for r in reachable for v in vals if r + v <= bound}
+    return reachable
 
 
 def cofactor_determinant(matrix) -> int:

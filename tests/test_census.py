@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import warnings
 
@@ -11,33 +12,19 @@ from mgonal import (
     evaluate,
     exceptional_set,
     locally_represents,
-    polygonal_number,
     regularity_check,
     represents,
     scaling_experiment,
 )
 
+from mgonal.polygonal import _term_table
+
+from oracles import reachable_values
+
 
 def simple_double_scan(form, bound):
     """Independent serial census: set-based reachability + per-N local calls."""
-    values_per_coeff = []
-    for a in form.coeffs:
-        vals = {0}
-        x = 1
-        while True:
-            hit = False
-            for s in (x, -x):
-                v = a * polygonal_number(form.m, s)
-                if v <= bound:
-                    vals.add(v)
-                    hit = True
-            if not hit:
-                break
-            x += 1
-        values_per_coeff.append(sorted(vals))
-    reachable = {0}
-    for vals in values_per_coeff:
-        reachable = {r + v for r in reachable for v in vals if r + v <= bound}
+    reachable = reachable_values(form, bound)
     exceptional = []
     n_local = 0
     for n in range(bound + 1):
@@ -78,8 +65,10 @@ def test_witnesses_verify():
     form = MgonalForm(5, (1, 2, 3, 4, 5))
     bound = 600
     report = exceptional_set(form, bound)
+    reachable = reachable_values(form, bound)
     for n in range(bound + 1):
         w = report.witness(n)
+        assert (w is not None) == (n in reachable), n
         if w is None:
             assert represents(form, n) is None
         else:
@@ -159,6 +148,25 @@ def test_report_json_schema():
     assert "timings" in data
     stable = json.loads(report.to_json_bytes(stable=True).decode())
     assert "timings" not in stable
+
+
+def test_timings_add_up():
+    report = exceptional_set(MgonalForm(5, (1, 2, 3, 4, 5)), 3000)
+    t = report.timings
+    assert set(t) == {"reach_seconds", "local_seconds", "extract_seconds",
+                      "total_seconds"}
+    assert all(v >= 0 for v in t.values())
+    assert math.isclose(t["reach_seconds"] + t["local_seconds"]
+                        + t["extract_seconds"], t["total_seconds"], abs_tol=1e-9)
+
+
+def test_witnesses_use_the_census_tables():
+    form = MgonalForm(5, (1, 2, 3, 4, 5))
+    report = exceptional_set(form, 600)
+    before = _term_table.cache_info().misses
+    for n in range(601):
+        report.witness(n)
+    assert _term_table.cache_info().misses == before
 
 
 def test_report_csv():

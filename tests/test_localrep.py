@@ -14,7 +14,7 @@ from mgonal import (
 )
 from mgonal.localrep import UNIMODULAR_SHORTCUT
 
-from oracles import UNDECIDED, local_rep_oracle
+from oracles import UNDECIDED, local_rep_oracle, reachable_values
 
 
 def test_relevant_primes_examples():
@@ -172,5 +172,7 @@ def test_soundness_bridge_on_census_style_instances():
         coeffs[rng.randrange(5)] = 1
         form = MgonalForm(rng.randint(3, 10), tuple(coeffs))
         N = rng.randint(0, 200)
-        if represents(form, N) is not None:
+        reached = N in reachable_values(form, N)
+        assert (represents(form, N) is not None) == reached
+        if reached:
             assert locally_represents(form, N).represented

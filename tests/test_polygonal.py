@@ -17,6 +17,8 @@ from mgonal import (
 from mgonal.polygonal import quadratic_linear_sums
 from mgonal.quadratic import eq2_residual
 
+from oracles import reachable_values
+
 
 def test_polygonal_examples():
     assert polygonal_number(5, 3) == 12
@@ -136,6 +138,57 @@ class TestRepresents:
     def test_not_represented(self):
         # <2,3>_4: 2x^2 + 3y^2 never equals 1
         assert represents(MgonalForm(4, (2, 3)), 1) is None
+        # below rank 3 the local criterion does not apply: search, not raise
+        assert represents(MgonalForm(4, (2, 3)), 5).x == (1, 1)
+        assert represents(MgonalForm(4, (1,)), 2) is None
+        assert represents(MgonalForm(4, (1,)), 49).x == (7,)
+
+    def test_locally_obstructed_target_returns_none(self):
+        # an exhaustive search over this region takes over a minute, so the
+        # local criterion has to settle it
+        form = MgonalForm(16, (1, 3, 9, 27, 27))
+        N = 320000
+        assert N % 27 == 23
+        # independent certificate: no value of the form is 23 mod 27
+        # (P_m(x) mod 27 has period 27 in x, since 2 is invertible mod 27)
+        sums = {0}
+        for a in form.coeffs:
+            terms = {a * polygonal_number(16, x) % 27 for x in range(27)}
+            sums = {(s + t) % 27 for s in sums for t in terms}
+        assert 23 not in sums
+        assert not locally_represents(form, N).represented
+        assert represents(form, N) is None
+
+    #: (m, coeffs, N, witness): seeded represented targets up to 10^6 and the
+    #: witness of the documented visiting order, so that order cannot drift.
+    PINNED_WITNESSES = (
+        (16, (1, 3, 9, 27, 27), 214149, (-174, 5, -2, -1, 1)),
+        (14, (1, 5, 25, 25, 25), 96, (1, 2, 1, 0, 0)),
+        (12, (2, 3, 5, 7, 11), 71910, (85, -4, -1, 1, 0)),
+        (11, (1, 3, 9, 9, 27), 15249, (-57, 5, -1, -1, 0)),
+        (4, (1, 1, 1, 1, 1), 14163, (119, 1, 1, 0, 0)),
+        (5, (1, 2, 3, 4, 5), 25780, (131, -5, 2, 1, 1)),
+        (8, (1, 1, 4), 74589, (157, 18, -1)),
+        (3, (1, 2, 3), 217398, (658, 16, 14)),
+        (10, (1, 1, 1, 2, 4), 62270, (125, 6, 1, -1, 1)),
+        (7, (3, 9, 1, 6, 6), 3598, (22, 2, -1, 0, 0)),
+        (16, (1, 3, 9, 27, 27), 415, (-7, 1, 0, 1, 0)),
+        (14, (1, 5, 25, 25, 25), 774, (-8, 0, 2, 0, 0)),
+        (12, (2, 3, 5, 7, 11), 2910, (17, -1, -1, 2, 0)),
+        (11, (1, 3, 9, 9, 27), 9021, (-42, -6, 2, -1, -1)),
+        (4, (1, 1, 1, 1, 1), 1365, (36, 8, 2, 1, 0)),
+        (5, (1, 2, 3, 4, 5), 1983, (-36, -2, 1, 1, 0)),
+        (8, (1, 1, 4), 414289, (-371, 14, -2)),
+        (3, (1, 2, 3), 5487, (102, 0, 12)),
+        (10, (1, 1, 1, 2, 4), 55652, (118, 9, -1, 1, 1)),
+        (7, (3, 9, 1, 6, 6), 3096, (-20, 0, 0, 1, 0)),
+    )
+
+    def test_pinned_witnesses(self):
+        for m, coeffs, N, x in self.PINNED_WITNESSES:
+            form = MgonalForm(m, coeffs)
+            assert evaluate(form, x) == N
+            assert represents(form, N).x == x, (m, coeffs, N)
 
     def test_soundness_bridge(self):
         rng = random.Random(14)
@@ -144,7 +197,9 @@ class TestRepresents:
             coeffs = tuple(rng.randint(1, 5) for _ in range(4)) + (1,)
             form = MgonalForm(m, coeffs)
             N = rng.randint(0, 120)
-            if represents(form, N) is not None:
+            reached = N in reachable_values(form, N)
+            assert (represents(form, N) is not None) == reached
+            if reached:
                 assert locally_represents(form, N).represented
 
 
