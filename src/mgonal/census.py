@@ -11,7 +11,7 @@ import sys
 import time
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -66,24 +66,15 @@ class ExceptionalReport:
     timings: dict
     _stages: list | None = None
     _local: bytes | None = None
-    _stage_views: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def _stage_bytes(self, i: int) -> bytes:
-        """Stage i's bitset as little-endian bytes (bit N is byte N >> 3, bit
-        N & 7), made on first use so a probe costs no O(bound) shift."""
-        view = self._stage_views.get(i)
-        if view is None:
-            if self._stages is None:
-                self._stages = _reach_stages(self.form, self.bound)
-            view = self._stages[i].to_bytes(self.bound // 8 + 1, "little")
-            self._stage_views[i] = view
-        return view
 
     def witness(self, N: int) -> tuple[int, ...] | None:
         """Stored/re-derived witness for a represented N <= bound, else None."""
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
-        if not self._stage_bytes(self.form.rank)[N >> 3] >> (N & 7) & 1:
+        stages = self._stages if self._stages is not None else _reach_stages(
+            self.form, self.bound
+        )
+        if not (stages[-1] >> N) & 1:
             return None
         out = []
         rem = N
@@ -91,10 +82,8 @@ class ExceptionalReport:
             # the census's bound tables, from the first value <= rem
             terms, values_desc = _term_table(self.form.m, self.form.coeffs[i],
                                              self.bound)
-            bits = self._stage_bytes(i)
             for v, x in terms[bisect_left(values_desc, -rem, key=operator.neg):]:
-                k = rem - v
-                if bits[k >> 3] >> (k & 7) & 1:
+                if (stages[i] >> (rem - v)) & 1:
                     out.append(x)
                     rem -= v
                     break

@@ -21,13 +21,18 @@ from dataclasses import dataclass
 from .arith import is_prime, unit_square_class_reps
 from .errors import InputError
 from .polygonal import MgonalForm
-from .quadratic import _diagonal_solvable, _diagonal_solvable_run
+from .quadratic import _diagonal_solvable, _diagonal_solvable_run, _unit_modulus
 from .arith import odd_prime_divisors
 
 UNIMODULAR_SHORTCUT = "unimodular-universal"
 
 #: Smallest rank for which the unimodular-universality shortcut is valid.
 _MIN_SHORTCUT_RANK = 3
+
+#: Largest residue modulus p^D that ``obstructed_at_small_prime`` builds a
+#: table for.  The build takes time quadratic in p^D: milliseconds up to this
+#: size, 23 s at 79^3 (2-core machine); the table's own ceiling is 2^24.
+SMALL_TABLE_MODULUS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,20 @@ def locally_represents(form: MgonalForm, N: int) -> LocalRepresentation:
         verdicts.append(v)
         ok = ok and v.represented
     return LocalRepresentation(represented=ok, verdicts=tuple(verdicts))
+
+
+def obstructed_at_small_prime(form: MgonalForm, N: int) -> bool:
+    """True iff some relevant prime whose residue table has at most
+    SMALL_TABLE_MODULUS entries rules N out over Z_p.
+
+    True implies ``not locally_represents(form, N)``; False decides nothing,
+    because primes with larger tables are skipped.  Requires rank >= 3.
+    """
+    return any(
+        _unit_modulus(form.coeffs, p)[1] <= SMALL_TABLE_MODULUS
+        and not locally_represents_at(form, N, p).represented
+        for p in relevant_primes(form)
+    )
 
 
 def local_flags(form: MgonalForm, bound: int) -> bytes:

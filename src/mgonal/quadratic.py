@@ -138,6 +138,14 @@ def diagonal_context(coeffs, c: int, p: int) -> PAdicContext:
     return PAdicContext(p, diagonal_decision_depth(coeffs, c, p))
 
 
+def _unit_modulus(coeffs, p: int) -> tuple[int, int]:
+    """(D, p^D) of ``_unit_reachable(coeffs, p)``, without building it."""
+    e = 1 if p == 2 else 0
+    beta = max(int(ordp(a, p)) for a in coeffs)
+    depth = 2 * (e + beta) + 1
+    return depth, p ** depth
+
+
 @lru_cache(maxsize=4096)
 def _unit_reachable(coeffs: tuple[int, ...], p: int):
     """Bitset of residues mod p^D expressible as sum a_i x_i^2 with a unit x_i.
@@ -145,12 +153,10 @@ def _unit_reachable(coeffs: tuple[int, ...], p: int):
     D = 2(ord_p(2) + max_i ord_p(a_i)) + 1: at that depth any congruence
     solution with a unit coordinate certifies an exact p-adic solution via a
     single-variable Newton lift, and conversely every exact solution with a
-    unit coordinate reduces into the set.
+    unit coordinate reduces into the set.  Building it takes time quadratic
+    in p^D.
     """
-    e = 1 if p == 2 else 0
-    beta = max(int(ordp(a, p)) for a in coeffs)
-    depth = 2 * (e + beta) + 1
-    mod = p ** depth
+    depth, mod = _unit_modulus(coeffs, p)
     if mod > 1 << 24:
         raise ResourceError(
             f"certified residue table mod {p}^{depth} exceeds the desk-scale budget"

@@ -6,13 +6,14 @@ import pytest
 from mgonal import (
     InputError,
     MgonalForm,
+    ResourceError,
     is_locally_universal,
     locally_represents,
     locally_represents_at,
     relevant_primes,
     represents,
 )
-from mgonal.localrep import UNIMODULAR_SHORTCUT
+from mgonal.localrep import UNIMODULAR_SHORTCUT, obstructed_at_small_prime
 
 from oracles import UNDECIDED, local_rep_oracle, reachable_values
 
@@ -176,3 +177,29 @@ def test_soundness_bridge_on_census_style_instances():
         assert (represents(form, N) is not None) == reached
         if reached:
             assert locally_represents(form, N).represented
+
+
+def test_small_prime_obstruction_matches_the_criterion():
+    """Small-table obstruction is sound, and equals the criterion when every
+    relevant prime's table is small (coefficients below 20 keep every p^D at
+    most 19^3 = 6859)."""
+    rng = random.Random(55)
+    seen = 0
+    for _ in range(60):
+        coeffs = [rng.randint(1, 19) for _ in range(rng.randint(3, 5))]
+        coeffs[0] = 1
+        form = MgonalForm(rng.randint(3, 20), tuple(coeffs))
+        for N in rng.sample(range(600), 20):
+            obstructed = obstructed_at_small_prime(form, N)
+            assert obstructed == (not locally_represents(form, N).represented)
+            seen += obstructed
+    assert seen > 0
+
+
+def test_large_tables_are_skipped():
+    # 257^3 is over the residue table's ceiling: the check skips the prime
+    # rather than raise, and decides nothing
+    form = MgonalForm(3, (1, 1, 257))
+    with pytest.raises(ResourceError):
+        locally_represents(form, 2)
+    assert obstructed_at_small_prime(form, 2) is False

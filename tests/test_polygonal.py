@@ -15,7 +15,7 @@ from mgonal import (
     represents,
 )
 from mgonal.polygonal import quadratic_linear_sums
-from mgonal.quadratic import eq2_residual
+from mgonal.quadratic import _unit_reachable, eq2_residual
 
 from oracles import reachable_values
 
@@ -144,20 +144,31 @@ class TestRepresents:
         assert represents(MgonalForm(4, (1,)), 49).x == (7,)
 
     def test_locally_obstructed_target_returns_none(self):
-        # an exhaustive search over this region takes over a minute, so the
-        # local criterion has to settle it
-        form = MgonalForm(16, (1, 3, 9, 27, 27))
+        # an exhaustive search over either region takes over a minute, so the
+        # local criterion at p = 3 has to settle it; in the second form the
+        # prime 257 has a residue table mod 257^3, too large to build
         N = 320000
         assert N % 27 == 23
-        # independent certificate: no value of the form is 23 mod 27
-        # (P_m(x) mod 27 has period 27 in x, since 2 is invertible mod 27)
-        sums = {0}
-        for a in form.coeffs:
-            terms = {a * polygonal_number(16, x) % 27 for x in range(27)}
-            sums = {(s + t) % 27 for s in sums for t in terms}
-        assert 23 not in sums
-        assert not locally_represents(form, N).represented
-        assert represents(form, N) is None
+        for coeffs in ((1, 3, 9, 27, 27), (1, 3, 9, 27, 27 * 257)):
+            form = MgonalForm(16, coeffs)
+            # independent certificate: no value of the form is 23 mod 27
+            # (P_m(x) mod 27 has period 27 in x, since 2 is invertible mod 27)
+            sums = {0}
+            for a in form.coeffs:
+                terms = {a * polygonal_number(16, x) % 27 for x in range(27)}
+                sums = {(s + t) % 27 for s in sums for t in terms}
+            assert 23 not in sums
+            assert represents(form, N) is None
+        assert not locally_represents(MgonalForm(16, (1, 3, 9, 27, 27)), N)
+
+    def test_large_residue_tables_are_left_to_the_search(self):
+        # the local criterion would need a table mod 257^3 or 2^25, both over
+        # its ceiling, or mod 251^3, hours to build: search instead
+        before = _unit_reachable.cache_info().misses
+        assert represents(MgonalForm(3, (1, 1, 257)), 2).x == (1, 1, 0)
+        assert represents(MgonalForm(3, (1, 1, 251)), 2).x == (1, 1, 0)
+        assert represents(MgonalForm(4, (1, 1, 2048)), 2).x == (1, 1, 0)
+        assert _unit_reachable.cache_info().misses == before
 
     #: (m, coeffs, N, witness): seeded represented targets up to 10^6 and the
     #: witness of the documented visiting order, so that order cannot drift.
