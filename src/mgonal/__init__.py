@@ -4,9 +4,6 @@ stability machinery, and exceptional-set censuses."""
 from .arith import (
     INFINITY,
     PAdicContext,
-    brute_force_congruence,
-    hensel_liftable,
-    hensel_refine,
     hilbert_symbol,
     is_prime,
     ord_and_unit,

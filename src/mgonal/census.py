@@ -64,16 +64,15 @@ class ExceptionalReport:
     represented_count: int
     max_exceptional: int | None
     timings: dict
-    _stages: list | None = None
-    _local: bytes | None = None
+    _stages: list
+    _local: bytes
 
     def witness(self, N: int) -> tuple[int, ...] | None:
-        """Stored/re-derived witness for a represented N <= bound, else None."""
+        """Witness for a represented N <= bound, from the census's reach
+        stages, else None."""
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
-        stages = self._stages if self._stages is not None else _reach_stages(
-            self.form, self.bound
-        )
+        stages = self._stages
         if not (stages[-1] >> N) & 1:
             return None
         out = []
@@ -94,9 +93,7 @@ class ExceptionalReport:
     def locally_represented(self, N: int) -> bool:
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
-        if self._local is not None:
-            return bool(self._local[N])
-        return bool(locally_represents(self.form, N))
+        return bool(self._local[N])
 
     def to_json(self, *, stable: bool = False) -> dict:
         out = {

@@ -31,7 +31,8 @@ _MIN_SHORTCUT_RANK = 3
 
 #: Largest residue modulus p^D that ``obstructed_at_small_prime`` builds a
 #: table for.  The build takes time quadratic in p^D: milliseconds up to this
-#: size, 23 s at 79^3 (2-core machine); the table's own ceiling is 2^24.
+#: size, 23 s at 79^3 (2-core machine); the table's own ceiling is
+#: ``quadratic.RESIDUE_TABLE_CEILING`` (2^19).
 SMALL_TABLE_MODULUS = 1 << 13
 
 

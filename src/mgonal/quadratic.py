@@ -138,6 +138,12 @@ def diagonal_context(coeffs, c: int, p: int) -> PAdicContext:
     return PAdicContext(p, diagonal_decision_depth(coeffs, c, p))
 
 
+#: Largest modulus p^D of a certified residue table.  The build takes time
+#: quadratic in p^D: 0.75 s at 2^17, 10.5 s at 2^19, 159 s at 2^21 (2-core
+#: machine), so a larger table is refused rather than built.
+RESIDUE_TABLE_CEILING = 1 << 19
+
+
 def _unit_modulus(coeffs, p: int) -> tuple[int, int]:
     """(D, p^D) of ``_unit_reachable(coeffs, p)``, without building it."""
     e = 1 if p == 2 else 0
@@ -154,12 +160,13 @@ def _unit_reachable(coeffs: tuple[int, ...], p: int):
     solution with a unit coordinate certifies an exact p-adic solution via a
     single-variable Newton lift, and conversely every exact solution with a
     unit coordinate reduces into the set.  Building it takes time quadratic
-    in p^D.
+    in p^D, so moduli above ``RESIDUE_TABLE_CEILING`` raise ``ResourceError``.
     """
     depth, mod = _unit_modulus(coeffs, p)
-    if mod > 1 << 24:
+    if mod > RESIDUE_TABLE_CEILING:
         raise ResourceError(
-            f"certified residue table mod {p}^{depth} exceeds the desk-scale budget"
+            f"certified residue table mod {p}^{depth} exceeds the ceiling of "
+            f"{RESIDUE_TABLE_CEILING} entries"
         )
     mask = (1 << mod) - 1
 
@@ -581,6 +588,13 @@ EQ2_UNSOLVABLE = "unsolvable"
 EQ2_UNKNOWN = "unsolvable-within-strata"
 
 
+#: Precision that ``eq2_context`` adds on top of the stability depth.
+EQ2_MARGIN = 4
+
+#: Cap on the live nodes of one congruence level of the stratum search.
+EQ2_NODE_BUDGET = 250_000
+
+
 @dataclass(frozen=True)
 class Eq2Verdict:
     """Outcome of the stratified solvability search.
@@ -595,17 +609,14 @@ class Eq2Verdict:
     min_order: int | None
     witness: tuple[int, ...] | None
     precision: int
-    strata_searched: tuple[int, ...]
     budget_exhausted: bool
-    congruence_depth: int | None = None
 
 
-def _is_bad_local(form: MgonalForm, p: int) -> bool:
+def is_bad_prime(form: MgonalForm, p: int) -> bool:
     """Odd p dividing m-4 where the leading coefficient has maximal valuation
-    and the tail diagonal form is anisotropic (possible only at rank 5)."""
-    if p == 2:
-        return False
-    if form.m != 4 and (form.m - 4) % p != 0:
+    and the tail diagonal form is anisotropic over Z_p (possible only at
+    rank <= 5: a tail of rank >= 5 is isotropic)."""
+    if p == 2 or (form.m - 4) % p:
         return False
     tail = form.coeffs[1:]
     if len(tail) >= 5:
@@ -616,19 +627,27 @@ def _is_bad_local(form: MgonalForm, p: int) -> bool:
 
 
 def eq2_stability_depth(form: MgonalForm, p: int) -> int:
-    """Congruence depth at which solvability verdicts of the auxiliary
-    equation are invariant under shifts of the parameter k."""
+    """Stability exponent e at p: solvability verdicts of the auxiliary
+    equation are invariant under k -> k + p^e.  With d the reduced
+    determinant, e = 3 + ord_2(a_1) + 2 ord_2(d) at p = 2,
+    1 + ord_p(a_1) + 2 ord_p(d) at a bad prime, and 1 + 2 ord_p(d) otherwise."""
     d = reduced_quadratic(form).det
     a1 = form.coeffs[0]
     if p == 2:
         return int(3 + ordp(a1, 2) + 2 * ordp(d, 2))
-    if _is_bad_local(form, p):
-        return int(1 + ordp(a1, p) + 2 * ordp(d, p))
-    return int(1 + 2 * ordp(d, p))
+    lead = ordp(a1, p) if is_bad_prime(form, p) else 0
+    return int(1 + lead + 2 * ordp(d, p))
 
 
-def eq2_context(form: MgonalForm, p: int, margin: int = 4) -> PAdicContext:
-    return PAdicContext(p, eq2_stability_depth(form, p) + margin)
+def eq2_context(form: MgonalForm, p: int) -> PAdicContext:
+    return PAdicContext(p, eq2_stability_depth(form, p) + EQ2_MARGIN)
+
+
+def eq2_constants(form: MgonalForm, A: int, B: int, k: int) -> tuple[int, int]:
+    """(c, R) of the reduced equation (c - scale*s)^2 + scale^2 a_1 q = R:
+    c = B + k(m-2) and R = a_1 (2A + B + k(m-4))."""
+    m = form.m
+    return B + k * (m - 2), form.coeffs[0] * (2 * A + B + k * (m - 4))
 
 
 def _eq2_value(c: int, R: int, scale: int, a1: int, tail, y) -> int:
@@ -659,7 +678,7 @@ def _refine_eq2(c, R, scale, a1, tail, y, i, p, prec):
     raise ContractError("auxiliary equation refinement did not converge")  # pragma: no cover
 
 
-def _stratum_search(c, R, scale, a1, tail, p, sigma, depth, node_budget):
+def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
     """Certified congruence search for solutions x = p^sigma y, y primitive.
 
     Returns ((witness_y, lift_coordinate_or_None), budget_exhausted_flag);
@@ -704,9 +723,9 @@ def _stratum_search(c, R, scale, a1, tail, p, sigma, depth, node_budget):
             if value(y) % (plevel * p) == 0:
                 for delta in product(range(p), repeat=n):
                     nxt.append(tuple(yi + plevel * d for yi, d in zip(y, delta)))
-                if len(nxt) > node_budget:
+                if len(nxt) > EQ2_NODE_BUDGET:
                     budget_hit = True
-                    nxt = nxt[:node_budget]
+                    nxt = nxt[:EQ2_NODE_BUDGET]
                     break
         nodes = nxt
         if not nodes:
@@ -730,7 +749,7 @@ def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
 
 
 def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
-                    *, scale: int = 1, node_budget: int = 250_000) -> Eq2Verdict:
+                    *, scale: int = 1) -> Eq2Verdict:
     """Classify p-adic solvability of the reduced representation equation
 
         (B + k(m-2) - scale * sum_{i>=2} a_i x_i)^2
@@ -752,19 +771,14 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
         raise ContractError(
             f"precision {ctx.precision} below the stability depth {need}"
         )
-    m = form.m
     a1 = form.coeffs[0]
     tail = form.coeffs[1:]
-    c = B + k * (m - 2)
-    R = a1 * (2 * A + B + k * (m - 4))
+    c, R = eq2_constants(form, A, B, k)
     cap = (int(ordp(a1, p)) + 1) // 2 + 1
     depth = ctx.precision
     budget_hit = False
-    searched = []
     for sigma in range(cap + 1):
-        searched.append(sigma)
-        found, hit = _stratum_search(c, R, scale, a1, tail, p, sigma, depth,
-                                     node_budget)
+        found, hit = _stratum_search(c, R, scale, a1, tail, p, sigma, depth)
         budget_hit = budget_hit or hit
         if found is not None:
             y, i = found
@@ -776,28 +790,21 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             status = EQ2_PRIMITIVE if sigma == 0 else EQ2_SOLVABLE
             return Eq2Verdict(
                 status=status, min_order=sigma, witness=witness,
-                precision=depth, strata_searched=tuple(searched),
-                budget_exhausted=budget_hit,
+                precision=depth, budget_exhausted=budget_hit,
             )
     if c * c == R:
         return Eq2Verdict(
             status=EQ2_SOLVABLE, min_order=None,
             witness=(0,) * (form.rank - 1), precision=depth,
-            strata_searched=tuple(searched), budget_exhausted=budget_hit,
+            budget_exhausted=budget_hit,
         )
     l2 = 1
     while p ** (3 * (l2 + 1)) <= 700_000 and l2 + 1 <= depth:
         l2 += 1
-    if not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
-        return Eq2Verdict(
-            status=EQ2_UNSOLVABLE, min_order=None, witness=None,
-            precision=depth, strata_searched=tuple(searched),
-            budget_exhausted=budget_hit, congruence_depth=l2,
-        )
+    solvable = _pair_congruence_solvable(c, R, scale, a1, tail, p, l2)
     return Eq2Verdict(
-        status=EQ2_UNKNOWN, min_order=None, witness=None,
-        precision=depth, strata_searched=tuple(searched),
-        budget_exhausted=budget_hit, congruence_depth=l2,
+        status=EQ2_UNKNOWN if solvable else EQ2_UNSOLVABLE, min_order=None,
+        witness=None, precision=depth, budget_exhausted=budget_hit,
     )
 
 
@@ -807,6 +814,5 @@ def eq2_residual(form: MgonalForm, A: int, B: int, k: int, x_tail,
     tail = form.coeffs[1:]
     if len(x_tail) != len(tail):
         raise InputError("tail vector length mismatch")
-    c = B + k * (form.m - 2)
-    R = form.coeffs[0] * (2 * A + B + k * (form.m - 4))
+    c, R = eq2_constants(form, A, B, k)
     return _eq2_value(c, R, scale, form.coeffs[0], tail, tuple(x_tail))

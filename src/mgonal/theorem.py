@@ -14,9 +14,10 @@ from .polygonal import MgonalForm, decompose_target
 from .quadratic import (
     EQ2_PRIMITIVE,
     Eq2Verdict,
+    eq2_constants,
     eq2_context,
     eq2_stability_depth,
-    is_isotropic,
+    is_bad_prime,
     reduced_quadratic,
     solvable_eq2_at,
 )
@@ -44,31 +45,18 @@ def unit_deficient_primes(form: MgonalForm) -> tuple[int, ...]:
 
 
 def bad_primes(form: MgonalForm) -> tuple[int, ...]:
-    """Odd p | m-4 with ord_p(a_1) maximal among all coefficients and the tail
-    diagonal form anisotropic over Z_p.  Empty for rank >= 6 (the tail has
-    rank >= 5 and is then isotropic at every prime)."""
+    """The primes p with ``quadratic.is_bad_prime(form, p)``: odd p | m-4
+    with ord_p(a_1) maximal among all coefficients and the tail diagonal form
+    anisotropic over Z_p.  Empty for rank >= 6 (the tail has rank >= 5 and is
+    then isotropic at every prime).  A rank-4 tail is isotropic at every odd
+    prime dividing none of its coefficients, so only their divisors are tried."""
     if form.rank < 5:
         raise InputError("bad primes need rank >= 5")
-    if form.rank >= 6:
-        return ()
-    m = form.m
-    tail = form.coeffs[1:]
-    if m == 4:
-        # m-4 = 0 is divisible by every odd prime; anisotropy still forces
-        # the candidate to divide some tail coefficient
-        candidates = set()
-        for a in tail:
-            if a > 1:
-                candidates.update(odd_prime_divisors(a))
-    else:
-        candidates = set(odd_prime_divisors(m - 4)) if abs(m - 4) > 1 else set()
-    out = []
-    for p in sorted(candidates):
-        if ordp(form.coeffs[0], p) < max(ordp(a, p) for a in tail):
-            continue
-        if not is_isotropic(tail, p):
-            out.append(p)
-    return tuple(out)
+    candidates = set()
+    for a in form.coeffs[1:]:
+        if a > 1:
+            candidates.update(odd_prime_divisors(a))
+    return tuple(p for p in sorted(candidates) if is_bad_prime(form, p))
 
 
 @dataclass(frozen=True)
@@ -81,18 +69,11 @@ class StabilityExponent:
 
 
 def k_stability_exponent(form: MgonalForm, p: int) -> StabilityExponent:
-    d = reduced_quadratic(form).det
-    if p == 2:
-        return StabilityExponent(
-            p=2, e=int(3 + ordp(form.coeffs[0], 2) + 2 * ordp(d, 2)), regime=DYADIC
-        )
-    if p in bad_primes(form):
-        return StabilityExponent(
-            p=p,
-            e=int(1 + ordp(form.coeffs[0], p) + 2 * ordp(d, p)),
-            regime=ODD_BAD,
-        )
-    return StabilityExponent(p=p, e=int(1 + 2 * ordp(d, p)), regime=ODD_GOOD)
+    """``quadratic.eq2_stability_depth`` at p, labelled with its regime."""
+    if form.rank < 5:
+        raise InputError("stability exponents need rank >= 5")
+    regime = DYADIC if p == 2 else ODD_BAD if is_bad_prime(form, p) else ODD_GOOD
+    return StabilityExponent(p=p, e=eq2_stability_depth(form, p), regime=regime)
 
 
 @dataclass(frozen=True)
@@ -128,8 +109,7 @@ def k_constant(form: MgonalForm) -> KConstant:
 
 def eq2_rhs(form: MgonalForm, A: int, B: int, k: int) -> int:
     """Right-hand side of the reduced equation: 2Aa_1 + Ba_1 + k(m-4)a_1."""
-    a1 = form.coeffs[0]
-    return 2 * A * a1 + B * a1 + k * (form.m - 4) * a1
+    return eq2_constants(form, A, B, k)[1]
 
 
 @dataclass(frozen=True)
@@ -246,7 +226,7 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
         raise InputError(f"{N} is not locally represented by {form.describe()}")
     dec = decompose_target(form.m, N)
     kc = k_constant(form)
-    primes = tuple(sorted(set(unit_deficient_primes(form)) | {2}))
+    primes = tuple(p for p, _ in kc.factors)
     diagnostics = []
     bad = bad_primes(form)
     stray = [p for p in bad if p not in primes]
@@ -256,7 +236,7 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
         )
         warnings.warn(diagnostics[-1], AnomalyWarning)
         primes = tuple(sorted(set(primes) | set(stray)))
-    exponents = {p: k_stability_exponent(form, p).e for p in primes}
+    exponents = {p: eq2_stability_depth(form, p) for p in primes}
     period = 1
     for p in primes:
         period *= p ** exponents[p]

@@ -3,21 +3,141 @@
 These deliberately avoid the production decision paths: determinants by
 cofactor expansion, local solvability by iterative-deepening congruence
 enumeration with lift verification, isotropy by exhaustive residue search
-over value tables, global representability by set-based reachability.
+over value tables, global representability by set-based reachability.  The exhaustive
+congruence scan is capped by the MGONAL_ORACLE_CAP environment variable.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from mgonal import (
-    brute_force_congruence,
-    hensel_liftable,
-    hensel_refine,
+    ContractError,
+    InputError,
+    ResourceError,
+    is_prime,
+    ordp,
     polygonal_number,
 )
+
+#: Default ceiling on the number of residue tuples an exhaustive congruence
+#: scan may enumerate.  Override with the MGONAL_ORACLE_CAP environment
+#: variable.
+DEFAULT_ORACLE_CAP = 30_000_000
+ORACLE_CAP_ENV = "MGONAL_ORACLE_CAP"
+
+
+def oracle_cap() -> int:
+    raw = os.environ.get(ORACLE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise InputError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise InputError(f"{ORACLE_CAP_ENV} must be positive, got {cap}")
+    return cap
+
+
+def _poly_residual(coeffs, linear, constant, target, x) -> int:
+    acc = constant - target
+    for c, l, xi in zip(coeffs, linear, x):
+        acc += c * xi * xi + l * xi
+    return acc
+
+
+def brute_force_congruence(coeffs, linear, constant: int, target: int,
+                           modulus: int) -> list[tuple[int, ...]]:
+    """All tuples x mod ``modulus`` with sum(c_i x_i^2 + l_i x_i) + constant = target.
+
+    Exhaustive and deterministic (lexicographic order).  Refuses instances
+    whose total tuple count exceeds the oracle cap.
+    """
+    coeffs = tuple(coeffs)
+    linear = tuple(linear)
+    if len(coeffs) != len(linear):
+        raise InputError("coeffs and linear must have equal length")
+    if modulus < 1:
+        raise InputError(f"modulus must be positive, got {modulus}")
+    n = len(coeffs)
+    total = modulus ** n
+    cap = oracle_cap()
+    if total > cap:
+        raise ResourceError(
+            f"{total} residue tuples exceed the oracle cap {cap}"
+        )
+    sols = []
+    for x in product(range(modulus), repeat=n):
+        if _poly_residual(coeffs, linear, constant, target, x) % modulus == 0:
+            sols.append(x)
+    return sols
+
+
+def _derivative_orders(coeffs, linear, partial, p):
+    return [ordp(2 * c * xi + l, p) for c, l, xi in zip(coeffs, linear, partial)]
+
+
+def hensel_liftable(coeffs, linear, target: int, partial, p: int, t: int) -> bool:
+    """True iff ``partial`` (a solution mod p^(2t+1)) lifts to an exact p-adic root.
+
+    The criterion: some coordinate i has ord_p(2 c_i x_i + l_i) <= t.  The
+    premise that ``partial`` solves the congruence mod p^(2t+1) is checked.
+    """
+    coeffs = tuple(coeffs)
+    linear = tuple(linear)
+    partial = tuple(partial)
+    if not isinstance(p, int) or not is_prime(p):
+        raise InputError(f"{p!r} is not prime")
+    if not isinstance(t, int) or t < 0:
+        raise InputError(f"t must be a nonnegative integer, got {t!r}")
+    if len(coeffs) != len(linear) or len(coeffs) != len(partial):
+        raise InputError("coeffs, linear and partial must have equal length")
+    mod = p ** (2 * t + 1)
+    if _poly_residual(coeffs, linear, 0, target, partial) % mod != 0:
+        raise ContractError(
+            f"partial solution does not satisfy the congruence mod {p}^{2 * t + 1}"
+        )
+    return any(o <= t for o in _derivative_orders(coeffs, linear, partial, p))
+
+
+def hensel_refine(coeffs, linear, target: int, partial, p: int, t: int,
+                  extra: int) -> tuple[int, ...]:
+    """Refine a liftable solution mod p^(2t+1) to a verified one mod p^(2t+1+extra).
+
+    Newton iteration in the coordinate of least derivative valuation; the
+    result is checked against the congruence before being returned.
+    """
+    coeffs = tuple(coeffs)
+    linear = tuple(linear)
+    if not isinstance(extra, int) or extra < 0:
+        raise InputError(f"extra must be a nonnegative integer, got {extra!r}")
+    if not hensel_liftable(coeffs, linear, target, partial, p, t):
+        raise ContractError("partial solution is not liftable at this depth")
+    orders = _derivative_orders(coeffs, linear, partial, p)
+    i = min(range(len(orders)), key=lambda j: orders[j])
+    ti = orders[i]
+    prec = 2 * t + 1 + extra
+    big = p ** prec
+    pt = p ** ti
+    x = [xi % big for xi in partial]
+    for _ in range(prec + 2):
+        g = _poly_residual(coeffs, linear, 0, target, x)
+        if g % big == 0:
+            break
+        d = 2 * coeffs[i] * x[i] + linear[i]
+        # ord(d) stays exactly ti: corrections have strictly larger valuation
+        step = (g // pt) * pow((d // pt) % big, -1, big)
+        x[i] = (x[i] - step) % big
+    else:  # pragma: no cover - convergence is quadratic
+        raise ContractError("Newton refinement did not converge")
+    if _poly_residual(coeffs, linear, 0, target, x) % big != 0:  # pragma: no cover
+        raise ContractError("refined solution failed verification")
+    return tuple(x)
 
 
 def reachable_values(form, bound) -> set[int]:

@@ -8,16 +8,18 @@ from mgonal import (
     InputError,
     PAdicContext,
     ResourceError,
-    brute_force_congruence,
-    hensel_liftable,
-    hensel_refine,
     hilbert_symbol,
     ord_and_unit,
     square_class,
 )
 from mgonal.arith import is_prime, least_nonresidue, prime_factors
 
-from oracles import hilbert_oracle
+from oracles import (
+    brute_force_congruence,
+    hensel_liftable,
+    hensel_refine,
+    hilbert_oracle,
+)
 
 
 def test_ord_and_unit_examples():

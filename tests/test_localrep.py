@@ -14,6 +14,7 @@ from mgonal import (
     represents,
 )
 from mgonal.localrep import UNIMODULAR_SHORTCUT, obstructed_at_small_prime
+from mgonal.quadratic import RESIDUE_TABLE_CEILING, _unit_modulus, _unit_reachable
 
 from oracles import UNDECIDED, local_rep_oracle, reachable_values
 
@@ -203,3 +204,15 @@ def test_large_tables_are_skipped():
     with pytest.raises(ResourceError):
         locally_represents(form, 2)
     assert obstructed_at_small_prime(form, 2) is False
+
+
+def test_residue_tables_over_the_ceiling_are_refused():
+    # 83^3 and 2^21 are over the 2^19 ceiling: the criterion raises at once
+    # instead of building a table for minutes; the search still finds 2
+    for form, p in ((MgonalForm(3, (1, 1, 83)), 83), (MgonalForm(4, (1, 1, 512)), 2)):
+        assert _unit_modulus(form.coeffs, p)[1] > RESIDUE_TABLE_CEILING
+        before = _unit_reachable.cache_info().currsize
+        with pytest.raises(ResourceError):
+            locally_represents(form, 2)
+        assert _unit_reachable.cache_info().currsize == before
+        assert represents(form, 2).x == (1, 1, 0)

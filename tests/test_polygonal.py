@@ -162,8 +162,8 @@ class TestRepresents:
         assert not locally_represents(MgonalForm(16, (1, 3, 9, 27, 27)), N)
 
     def test_large_residue_tables_are_left_to_the_search(self):
-        # the local criterion would need a table mod 257^3 or 2^25, both over
-        # its ceiling, or mod 251^3, hours to build: search instead
+        # the local criterion would need a table mod 257^3, 251^3 or 2^25,
+        # all over the residue table's ceiling: search instead
         before = _unit_reachable.cache_info().misses
         assert represents(MgonalForm(3, (1, 1, 257)), 2).x == (1, 1, 0)
         assert represents(MgonalForm(3, (1, 1, 251)), 2).x == (1, 1, 0)
