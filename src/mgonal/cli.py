@@ -236,7 +236,7 @@ def _cmd_admissible(args) -> int:
         lines.append(f"  k={pair.k} P={pair.P}")
     if result.anomaly:
         lines.append("ANOMALY: no admissible pair found")
-        lines.extend(f"  {d}" for d in result.diagnostics)
+    lines.extend(f"  {d}" for d in result.diagnostics)
     _emit(payload, args.format, lines)
     return 1 if result.anomaly else 0
 

@@ -594,6 +594,13 @@ EQ2_MARGIN = 4
 #: Cap on the live nodes of one congruence level of the stratum search.
 EQ2_NODE_BUDGET = 250_000
 
+#: Largest residue count p^n a stratum search may enumerate at level 1.
+EQ2_ROOT_CEILING = 2_000_000
+
+#: The pair-congruence disproof works mod p^l2 with l2 the largest exponent,
+#: at least 1 and at most the precision, whose modulus cubed stays within this.
+EQ2_CONGRUENCE_CEILING = 700_000
+
 
 @dataclass(frozen=True)
 class Eq2Verdict:
@@ -682,10 +689,13 @@ def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
     """Certified congruence search for solutions x = p^sigma y, y primitive.
 
     Returns ((witness_y, lift_coordinate_or_None), budget_exhausted_flag);
-    the witness slot is None when nothing certified within the depth.
+    the witness slot is None when nothing certified within the depth.  Nodes
+    are checked in lexicographic order, and the level-1 roots as they are
+    enumerated, so the first certified node is returned without building the
+    rest of its level.
     """
     n = len(tail)
-    if p ** n > 2_000_000:
+    if p ** n > EQ2_ROOT_CEILING:
         raise ResourceError(
             f"stratum root enumeration of {p}^{n} residues exceeds the search budget"
         )
@@ -694,29 +704,31 @@ def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
     def value(y):
         return _eq2_value(c, R, eff, a1, tail, y)
 
-    def derivs(y):
-        return _eq2_derivatives(c, eff, a1, tail, y)
+    def certified(y):
+        val = value(y)
+        ds = _eq2_derivatives(c, eff, a1, tail, y)
+        finite = [(int(ordp(d, p)), i) for i, d in enumerate(ds) if d != 0]
+        if finite:
+            t, i = min(finite)
+            if val == 0 or ordp(val, p) >= 2 * t + 1:
+                return y, i
+        elif val == 0:
+            # exact critical zero: already an exact solution
+            return y, None
+        return None
 
+    nodes = []
+    for y in product(range(p), repeat=n):
+        if any(y) and value(y) % p == 0:
+            found = certified(y)
+            if found is not None:
+                return found, False
+            nodes.append(y)
     budget_hit = False
-    nodes = [y for y in product(range(p), repeat=n)
-             if any(y) and value(y) % p == 0]
-    for level in range(1, depth + 1):
-        for y in nodes:
-            val = value(y)
-            ds = derivs(y)
-            finite = [(int(ordp(d, p)), i) for i, d in enumerate(ds) if d != 0]
-            if finite:
-                t, i = min(finite)
-                if val == 0 or ordp(val, p) >= 2 * t + 1:
-                    return (tuple(y), i), budget_hit
-            elif val == 0:
-                # exact critical zero: already an exact solution
-                return (tuple(y), None), budget_hit
-        if level == depth:
-            break
+    for level in range(1, depth):
         # survivors have gradient = 0 mod p (a unit gradient would have
-        # certified above), so a node's children all satisfy the next
-        # congruence level or none do
+        # certified), so a node's children all satisfy the next congruence
+        # level or none do
         plevel = p ** level
         nxt = []
         for y in nodes:
@@ -730,21 +742,47 @@ def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
         nodes = nxt
         if not nodes:
             break
+        for y in nodes:
+            found = certified(y)
+            if found is not None:
+                return found, budget_hit
     return None, budget_hit
 
 
-def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
-    """Exhaustive solvability of the auxiliary congruence mod p^depth, tracked
-    through the two sufficient statistics (linear sum, quadratic sum)."""
-    mod = p ** depth
-    states = {(0, 0)}
+@lru_cache(maxsize=1024)
+def _pair_states(tail: tuple[int, ...], mod: int, g: int) -> tuple[int, ...]:
+    """Entry s is the bitmask of the values g*q mod ``mod`` over the tail
+    vectors x with (sum a_i x_i, sum a_i x_i^2) = (s, q) mod ``mod``.
+
+    It depends on the form only through the tail, so one build serves every
+    (c, R, k) at a prime.  Each move (ds, dq) of one coordinate rotates the
+    masks by dq: ``mod``^2 rotations per coefficient.
+    """
+    full = (1 << mod) - 1
+    masks = [1] + [0] * (mod - 1)
     for t in tail:
-        moves = {(t * y % mod, t * y * y % mod) for y in range(mod)}
-        states = {((s + ds) % mod, (q + dq) % mod)
-                  for s, q in states for ds, dq in moves}
+        moves = {(t * y % mod, g * t * y * y % mod) for y in range(mod)}
+        nxt = [0] * mod
+        for ds, dq in moves:
+            for s, bits in enumerate(masks):
+                if bits:
+                    nxt[(s + ds) % mod] |= ((bits << dq) | (bits >> (mod - dq))) & full
+        masks = nxt
+    return tuple(masks)
+
+
+def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
+    """Exact solvability of (c - scale*s)^2 + scale^2 a_1 q = R mod p^depth,
+    with s and q the linear and quadratic tail sums of some x.
+
+    Every p-adic solution reduces to a solution of this congruence (the zero
+    solution to s = q = 0), so False proves the equation unsolvable.
+    """
+    mod = p ** depth
+    masks = _pair_states(tuple(tail), mod, scale * scale * a1 % mod)
     return any(
-        ((c - scale * s) ** 2 + scale * scale * a1 * q - R) % mod == 0
-        for s, q in states
+        bits >> ((R - (c - scale * s) ** 2) % mod) & 1
+        for s, bits in enumerate(masks)
     )
 
 
@@ -756,10 +794,12 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1,
 
     reporting primitivity of (x_2,...,x_n) and the smallest min-coordinate
-    valuation found.  Strata sigma = 0, 1, ..., ceil(ord_p(a_1)/2)+1 are
-    scanned by certified congruence search; past the cap an instance is
-    reported unsolvable-within-strata unless a bounded exhaustive congruence
-    check disproves solvability outright.
+    valuation found.  First the exhaustive pair congruence mod p^l2 (l2 set by
+    ``EQ2_CONGRUENCE_CEILING``) is tried: when it has no solution the equation
+    is unsolvable, and no stratum is searched.  Otherwise strata
+    sigma = 0, 1, ..., ceil(ord_p(a_1)/2)+1 are scanned by certified
+    congruence search; when none certifies and x = 0 is no solution, the
+    instance is reported unsolvable-within-strata.
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
@@ -774,8 +814,16 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     a1 = form.coeffs[0]
     tail = form.coeffs[1:]
     c, R = eq2_constants(form, A, B, k)
-    cap = (int(ordp(a1, p)) + 1) // 2 + 1
     depth = ctx.precision
+    l2 = 1
+    while p ** (3 * (l2 + 1)) <= EQ2_CONGRUENCE_CEILING and l2 + 1 <= depth:
+        l2 += 1
+    if not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
+        return Eq2Verdict(
+            status=EQ2_UNSOLVABLE, min_order=None, witness=None,
+            precision=depth, budget_exhausted=False,
+        )
+    cap = (int(ordp(a1, p)) + 1) // 2 + 1
     budget_hit = False
     for sigma in range(cap + 1):
         found, hit = _stratum_search(c, R, scale, a1, tail, p, sigma, depth)
@@ -798,13 +846,9 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             witness=(0,) * (form.rank - 1), precision=depth,
             budget_exhausted=budget_hit,
         )
-    l2 = 1
-    while p ** (3 * (l2 + 1)) <= 700_000 and l2 + 1 <= depth:
-        l2 += 1
-    solvable = _pair_congruence_solvable(c, R, scale, a1, tail, p, l2)
     return Eq2Verdict(
-        status=EQ2_UNKNOWN if solvable else EQ2_UNSOLVABLE, min_order=None,
-        witness=None, precision=depth, budget_exhausted=budget_hit,
+        status=EQ2_UNKNOWN, min_order=None, witness=None, precision=depth,
+        budget_exhausted=budget_hit,
     )
 
 

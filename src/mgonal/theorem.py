@@ -13,6 +13,7 @@ from .localrep import locally_represents
 from .polygonal import MgonalForm, decompose_target
 from .quadratic import (
     EQ2_PRIMITIVE,
+    EQ2_UNKNOWN,
     Eq2Verdict,
     eq2_constants,
     eq2_context,
@@ -208,6 +209,10 @@ def _scale_options(form: MgonalForm, primes) -> list[int]:
     return sorted(options)
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" + ("" if n == 1 else "s")
+
+
 def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
                  k_limit: int | None = 4096) -> AdmissibleSearch:
     """All (k, P) pairs (ascending k, then P, up to ``pair_cap``) for which the
@@ -218,6 +223,10 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     product of the per-prime periods (a full set of Chinese-remainder
     representatives); ``k_limit`` bounds the scan further for pathologically
     large periods, in which case the result is flagged as truncated.
+
+    A residue whose verdict is undecided (``EQ2_UNKNOWN``) counts as not
+    admissible.  Whenever a prime has such residues, or verdicts whose stratum
+    search hit its node budget, the diagnostics say how many of each.
     """
     if form.rank < 5:
         raise InputError("the admissible search needs rank >= 5")
@@ -281,6 +290,15 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
         diagnostics.append(
             f"k scan truncated at {k_limit} (full residue period is {period})"
         )
+    for p in primes:
+        tested = [v for key, v in memo.items() if key[0] == p]
+        undecided = sum(1 for v in tested if v.status == EQ2_UNKNOWN)
+        hits = sum(1 for v in tested if v.budget_exhausted)
+        if undecided or hits:
+            diagnostics.append(
+                f"p={p}: {_count(undecided, 'undecided residue')}, "
+                f"{_count(hits, 'budget hit')}"
+            )
     if not pairs:
         for p in primes:
             exhausted = sum(

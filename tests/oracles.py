@@ -3,7 +3,8 @@
 These deliberately avoid the production decision paths: determinants by
 cofactor expansion, local solvability by iterative-deepening congruence
 enumeration with lift verification, isotropy by exhaustive residue search
-over value tables, global representability by set-based reachability.  The exhaustive
+over value tables, global representability by set-based reachability, the
+auxiliary pair congruence by set-based state enumeration.  The exhaustive
 congruence scan is capped by the MGONAL_ORACLE_CAP environment variable.
 """
 
@@ -159,6 +160,31 @@ def reachable_values(form, bound) -> set[int]:
             x += 1
         reachable = {r + v for r in reachable for v in vals if r + v <= bound}
     return reachable
+
+
+@lru_cache(maxsize=None)
+def _tail_sum_states(tail, mod, p):
+    """All (s, q, unit) with s = sum a_i x_i and q = sum a_i x_i^2 mod ``mod``
+    over tail vectors x mod ``mod``; unit says whether some x_i is prime to p
+    (always True when p is None)."""
+    states = {(0, 0, p is None)}
+    for t in tail:
+        moves = {(t * y % mod, t * y * y % mod, p is not None and y % p != 0)
+                 for y in range(mod)}
+        states = {((s + ds) % mod, (q + dq) % mod, unit or du)
+                  for s, q, unit in states for ds, dq, du in moves}
+    return frozenset(states)
+
+
+def pair_congruence_oracle(c, R, scale, a1, tail, mod, *, p=None) -> bool:
+    """Whether (c - scale*s)^2 + scale^2 a_1 q = R (mod ``mod``) for some tail
+    vector x, with s and q its linear and quadratic sums, by enumerating every
+    reachable (s, q) as a set of tuples.  With ``p`` given, only vectors with a
+    coordinate prime to p count."""
+    return any(
+        unit and ((c - scale * s) ** 2 + scale * scale * a1 * q - R) % mod == 0
+        for s, q, unit in _tail_sum_states(tuple(tail), mod, p)
+    )
 
 
 def cofactor_determinant(matrix) -> int:

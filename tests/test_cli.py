@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import mgonal
+import mgonal.cli
+import mgonal.theorem
 from mgonal.cli import main
 
 
@@ -84,6 +86,17 @@ def test_admissible_k(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pairs"] and data["k_bound"] == 7
+
+
+def test_admissible_k_text_prints_diagnostics_with_pairs(capsys, monkeypatch):
+    real = mgonal.theorem.admissible_k
+    monkeypatch.setattr(mgonal.cli, "admissible_k",
+                        lambda form, n: real(form, n, k_limit=1))
+    code, out, _ = run(capsys, "admissible-k", "--m", "12",
+                       "--coeffs", "10,9,9,1,1", "--n", "52")
+    assert code == 0
+    assert "  k=0 P=1" in out
+    assert "  k scan truncated at 1 (full residue period is" in out
 
 
 def test_jordan(capsys):

@@ -1,8 +1,11 @@
-"""Pinned outputs: CLI stdout bytes and stability depths.
+"""Pinned outputs: CLI stdout bytes, stability depths and eq2 verdicts.
 
-The files under ``tests/golden/`` were recorded from the library before the
-stability exponent and the bad-prime test were merged into one rule each;
-these tests fail if any byte or depth drifts from that record.
+The CLI files and the stability depths under ``tests/golden/`` were recorded
+from the library before the stability exponent and the bad-prime test were
+merged into one rule each.  The eq2 verdict grid and the ``admissible_pc3_*``
+files were recorded before the pair-congruence disproof was moved ahead of
+the stratum search.  These tests fail if any byte, depth or verdict drifts
+from that record.
 """
 
 import json
@@ -15,7 +18,14 @@ from pathlib import Path
 import pytest
 
 import mgonal
-from mgonal import MgonalForm, bad_primes, eq2_context, k_stability_exponent
+from mgonal import (
+    MgonalForm,
+    admissible_k,
+    bad_primes,
+    eq2_context,
+    k_stability_exponent,
+)
+from mgonal.quadratic import EQ2_UNSOLVABLE, solvable_eq2_at
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,3 +116,42 @@ def test_stability_depths_are_pinned():
     # the grid reaches every regime
     regimes = {r for rec in pinned.values() for _, r in rec.get("k_stability", ())}
     assert regimes == {"dyadic", "odd-good", "odd-bad"}
+
+
+def test_eq2_verdicts_are_pinned():
+    """A seeded grid of 150 calls: ranks 3-6, p in {2, 3, 5, 7, 11}, scale 1
+    or p.  Status, min order, witness and precision must all match."""
+    cases = json.loads((GOLDEN / "eq2_verdicts.json").read_text())
+    assert len(cases) == 150
+    for case in cases:
+        form = MgonalForm(case["m"], tuple(case["coeffs"]))
+        v = solvable_eq2_at(form, case["A"], case["B"], case["k"],
+                            eq2_context(form, case["p"]), scale=case["scale"])
+        got = (v.status, v.min_order,
+               None if v.witness is None else list(v.witness), v.precision)
+        assert got == (case["status"], case["min_order"], case["witness"],
+                       case["precision"]), case
+
+
+#: (m, coeffs, N) whose admissible search once exhausted the stratum node
+#: budget at one eq2 call.
+BUDGET_HIT_INSTANCES = (
+    (11, (8, 1, 9, 11, 4), 2),
+    (3, (12, 12, 1, 3, 7), 66),
+)
+
+
+@pytest.mark.parametrize("m,coeffs,N", BUDGET_HIT_INSTANCES)
+def test_budget_hit_instances_are_pinned(m, coeffs, N):
+    result = admissible_k(MgonalForm(m, coeffs), N, pair_cap=3)
+    name = f"admissible_pc3_m{m}_{'-'.join(map(str, coeffs))}_n{N}.json"
+    got = json.dumps(result.to_json(), sort_keys=True, separators=(",", ":"))
+    assert (got + "\n").encode() == (GOLDEN / name).read_bytes()
+
+
+def test_disproof_settles_the_budget_hit_call():
+    # the call that exhausted the node budget has no solution mod 2^6
+    form = MgonalForm(11, (8, 1, 9, 11, 4))
+    v = solvable_eq2_at(form, 0, 2, 0, eq2_context(form, 2), scale=2)
+    assert v.status == EQ2_UNSOLVABLE
+    assert v.budget_exhausted is False

@@ -8,6 +8,7 @@ from mgonal import (
     ContractError,
     InputError,
     MgonalForm,
+    ResourceError,
     bareiss_determinant,
     eq2_context,
     eq2_residual,
@@ -20,11 +21,14 @@ from mgonal import (
 )
 from mgonal.arith import PAdicContext
 from mgonal.quadratic import (
+    EQ2_CONGRUENCE_CEILING,
     EQ2_PRIMITIVE,
     EQ2_SOLVABLE,
     EQ2_UNSOLVABLE,
+    _pair_congruence_solvable,
     diagonal_context,
     diagonal_decision_depth,
+    eq2_constants,
     solvable_eq2_at,
 )
 
@@ -33,6 +37,7 @@ from oracles import (
     cofactor_determinant,
     diagonal_oracle,
     isotropy_oracle,
+    pair_congruence_oracle,
 )
 
 
@@ -203,15 +208,9 @@ class TestEq2:
         mod = p ** 4
         c = B + k * (form.m - 2)
         R = form.coeffs[0] * (2 * A + B + k * (form.m - 4))
-        states = {(0, 0, False)}
-        for t in form.coeffs[1:]:
-            moves = {(t * y % mod, t * y * y % mod, y % p != 0)
-                     for y in range(mod)}
-            states = {((s + ds) % mod, (q + dq) % mod, fl or dfl)
-                      for s, q, fl in states for ds, dq, dfl in moves}
-        good = [fl for s, q, fl in states
-                if ((c - s) ** 2 + form.coeffs[0] * q - R) % mod == 0]
-        assert good and not any(good)
+        a1, tail = form.coeffs[0], form.coeffs[1:]
+        assert pair_congruence_oracle(c, R, 1, a1, tail, mod)
+        assert not pair_congruence_oracle(c, R, 1, a1, tail, mod, p=p)
         v = solvable_eq2_at(form, A, B, k, eq2_context(form, p))
         assert v.status == EQ2_SOLVABLE
         assert v.min_order == 1
@@ -226,15 +225,58 @@ class TestEq2:
         mod = 3 ** 4
         c = 0 + 1 * (form.m - 2)
         R = form.coeffs[0] * (0 + 0 + 1 * (form.m - 4))
-        states = {(0, 0)}
-        for t in form.coeffs[1:]:
-            moves = {(t * y % mod, t * y * y % mod) for y in range(mod)}
-            states = {((s + ds) % mod, (q + dq) % mod)
-                      for s, q in states for ds, dq in moves}
-        assert not any(
-            ((c - s) ** 2 + form.coeffs[0] * q - R) % mod == 0
-            for s, q in states
+        assert not pair_congruence_oracle(
+            c, R, 1, form.coeffs[0], form.coeffs[1:], mod
         )
+
+    def test_pair_congruence_matches_the_oracle(self):
+        """Seeded cases over ranks 3-6, p in {2, 3, 5, 7, 11} and scale in
+        {1, p}: the cached disproof equals the set enumeration mod p^l2, an
+        unsolvable verdict has no solution there, and witnesses verify."""
+        rng = random.Random(2718)
+        pool = (1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 18, 27)
+        forms = []
+        for rank in (3, 4, 5, 6):
+            for _ in range(3):
+                coeffs = [rng.choice(pool) for _ in range(rank)]
+                coeffs[rng.randrange(rank)] = 1
+                forms.append(MgonalForm(rng.randint(3, 20), tuple(coeffs)))
+        statuses = set()
+        for form in forms:
+            a1, tail = form.coeffs[0], form.coeffs[1:]
+            for _ in range(20):
+                p = rng.choice((2, 3, 5, 7, 11))
+                scale = rng.choice((1, p))
+                A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), \
+                    rng.randint(0, 30)
+                ctx = eq2_context(form, p)
+                l2 = max(1, min(ctx.precision, max(
+                    e for e in range(1, 40) if p ** (3 * e) <= EQ2_CONGRUENCE_CEILING
+                )))
+                c, R = eq2_constants(form, A, B, k)
+                expected = pair_congruence_oracle(c, R, scale, a1, tail, p ** l2)
+                case = (form.describe(), A, B, k, p, scale)
+                assert _pair_congruence_solvable(
+                    c, R, scale, a1, tail, p, l2) == expected, case
+                v = solvable_eq2_at(form, A, B, k, ctx, scale=scale)
+                statuses.add(v.status)
+                if v.status == EQ2_UNSOLVABLE:
+                    assert not expected, case
+                if v.witness is not None:
+                    res = eq2_residual(form, A, B, k, v.witness, scale=scale)
+                    assert res % p ** v.precision == 0, case
+        assert {EQ2_PRIMITIVE, EQ2_UNSOLVABLE} <= statuses
+
+    def test_disproof_precedes_the_root_ceiling(self):
+        # 13^6 level-1 roots exceed EQ2_ROOT_CEILING.  At (A, B, k) = (1, 0, 0)
+        # c^2 = R fails mod 13, so the congruence settles the call; at
+        # (0, 1, 0) c^2 = R, so the stratum search still runs and refuses
+        form = MgonalForm(5, (1, 13, 13, 13, 13, 13, 13))
+        ctx = eq2_context(form, 13)
+        v = solvable_eq2_at(form, 1, 0, 0, ctx)
+        assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
+        with pytest.raises(ResourceError):
+            solvable_eq2_at(form, 0, 1, 0, ctx)
 
     def test_precision_contract(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))

@@ -18,7 +18,8 @@ from mgonal import (
     reduced_quadratic,
     unit_deficient_primes,
 )
-from mgonal.quadratic import EQ2_PRIMITIVE, solvable_eq2_at
+import mgonal.theorem
+from mgonal.quadratic import EQ2_PRIMITIVE, EQ2_UNKNOWN, Eq2Verdict, solvable_eq2_at
 from mgonal.serialize import parse_json_int
 from mgonal.theorem import DYADIC, ODD_BAD, ODD_GOOD
 
@@ -151,6 +152,24 @@ class TestAdmissibleK:
         assert short.scanned_k == 1
         assert short.truncated is True
         assert any("k scan truncated at 1" in d for d in short.diagnostics)
+
+    def test_undecided_residues_are_counted(self, monkeypatch):
+        form = MgonalForm(12, (10, 9, 9, 1, 1))
+        assert admissible_k(form, 52, pair_cap=3).diagnostics == ()
+        # make the p = 2 verdict at k = 1 undecided, as a budget hit would
+        real = mgonal.theorem.solvable_eq2_at
+
+        def undecided_at_k1(form, A, B, k, ctx, *, scale=1):
+            v = real(form, A, B, k, ctx, scale=scale)
+            if ctx.p == 2 and k == 1 and scale == 1:
+                return Eq2Verdict(status=EQ2_UNKNOWN, min_order=None, witness=None,
+                                  precision=v.precision, budget_exhausted=True)
+            return v
+
+        monkeypatch.setattr(mgonal.theorem, "solvable_eq2_at", undecided_at_k1)
+        result = admissible_k(form, 52, pair_cap=3)
+        assert result.diagnostics == ("p=2: 1 undecided residue, 1 budget hit",)
+        assert all(pair.k != 1 or pair.P != 1 for pair in result.pairs)
 
     def test_zero_target(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
