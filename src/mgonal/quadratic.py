@@ -597,8 +597,7 @@ EQ2_NODE_BUDGET = 250_000
 #: Largest residue count p^n a stratum search may enumerate at level 1.
 EQ2_ROOT_CEILING = 2_000_000
 
-#: The pair-congruence disproof works mod p^l2 with l2 the largest exponent,
-#: at least 1 and at most the precision, whose modulus cubed stays within this.
+#: Bound on the cube of the pair-congruence modulus p^l2 (see _congruence_depth).
 EQ2_CONGRUENCE_CEILING = 700_000
 
 
@@ -771,6 +770,19 @@ def _pair_states(tail: tuple[int, ...], mod: int, g: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _congruence_depth(p: int, precision: int) -> int | None:
+    """Exponent l2 of the pair-congruence modulus: the largest e with
+    p^(3e) <= EQ2_CONGRUENCE_CEILING, capped by the precision.  None when even
+    p^3 exceeds the ceiling: the bitset would then cost p^2 rotations of
+    p-bit masks per tail coefficient."""
+    if p ** 3 > EQ2_CONGRUENCE_CEILING:
+        return None
+    e = 1
+    while p ** (3 * (e + 1)) <= EQ2_CONGRUENCE_CEILING and e + 1 <= precision:
+        e += 1
+    return e
+
+
 def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
     """Exact solvability of (c - scale*s)^2 + scale^2 a_1 q = R mod p^depth,
     with s and q the linear and quadratic tail sums of some x.
@@ -794,12 +806,15 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1,
 
     reporting primitivity of (x_2,...,x_n) and the smallest min-coordinate
-    valuation found.  First the exhaustive pair congruence mod p^l2 (l2 set by
-    ``EQ2_CONGRUENCE_CEILING``) is tried: when it has no solution the equation
+    valuation found.  First the exhaustive pair congruence mod p^l2 (l2 from
+    ``_congruence_depth``) is tried: when it has no solution the equation
     is unsolvable, and no stratum is searched.  Otherwise strata
     sigma = 0, 1, ..., ceil(ord_p(a_1)/2)+1 are scanned by certified
     congruence search; when none certifies and x = 0 is no solution, the
-    instance is reported unsolvable-within-strata.
+    instance is reported unsolvable-within-strata.  At p^3 above
+    ``EQ2_CONGRUENCE_CEILING`` the strata come first (raising ``ResourceError``
+    past ``EQ2_ROOT_CEILING``), and the disproof is the congruence mod p,
+    decided by evaluating every residue.
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
@@ -815,10 +830,8 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     tail = form.coeffs[1:]
     c, R = eq2_constants(form, A, B, k)
     depth = ctx.precision
-    l2 = 1
-    while p ** (3 * (l2 + 1)) <= EQ2_CONGRUENCE_CEILING and l2 + 1 <= depth:
-        l2 += 1
-    if not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
+    l2 = _congruence_depth(p, depth)
+    if l2 is not None and not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
         return Eq2Verdict(
             status=EQ2_UNSOLVABLE, min_order=None, witness=None,
             precision=depth, budget_exhausted=False,
@@ -846,9 +859,15 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             witness=(0,) * (form.rank - 1), precision=depth,
             budget_exhausted=budget_hit,
         )
+    # with no l2 the disproof is the congruence mod p; the strata above
+    # already enumerated p^n <= EQ2_ROOT_CEILING residues, so do it by hand
+    solvable = l2 is not None or any(
+        _eq2_value(c, R, scale, a1, tail, y) % p == 0
+        for y in product(range(p), repeat=len(tail))
+    )
     return Eq2Verdict(
-        status=EQ2_UNKNOWN, min_order=None, witness=None, precision=depth,
-        budget_exhausted=budget_hit,
+        status=EQ2_UNKNOWN if solvable else EQ2_UNSOLVABLE, min_order=None,
+        witness=None, precision=depth, budget_exhausted=budget_hit,
     )
 
 

@@ -21,11 +21,13 @@ from mgonal import (
 )
 from mgonal.arith import PAdicContext
 from mgonal.quadratic import (
-    EQ2_CONGRUENCE_CEILING,
     EQ2_PRIMITIVE,
     EQ2_SOLVABLE,
+    EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
+    _congruence_depth,
     _pair_congruence_solvable,
+    _pair_states,
     diagonal_context,
     diagonal_decision_depth,
     eq2_constants,
@@ -250,9 +252,7 @@ class TestEq2:
                 A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), \
                     rng.randint(0, 30)
                 ctx = eq2_context(form, p)
-                l2 = max(1, min(ctx.precision, max(
-                    e for e in range(1, 40) if p ** (3 * e) <= EQ2_CONGRUENCE_CEILING
-                )))
+                l2 = _congruence_depth(p, ctx.precision)
                 c, R = eq2_constants(form, A, B, k)
                 expected = pair_congruence_oracle(c, R, scale, a1, tail, p ** l2)
                 case = (form.describe(), A, B, k, p, scale)
@@ -277,6 +277,32 @@ class TestEq2:
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
         with pytest.raises(ResourceError):
             solvable_eq2_at(form, 0, 1, 0, ctx)
+
+    def test_large_primes_reach_the_root_ceiling_first(self):
+        # 10007^3 is past the congruence ceiling: no state bitset is built,
+        # and the stratum search refuses 10007^4 roots at once
+        form = MgonalForm(10009, (1, 1, 1, 1, 10007))
+        assert _congruence_depth(10007, 1) is None
+        ctx = eq2_context(form, 10007)
+        before = _pair_states.cache_info()
+        with pytest.raises(ResourceError):
+            solvable_eq2_at(form, 0, 1, 0, ctx)
+        after = _pair_states.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_large_prime_disproof_is_mod_p(self):
+        # past the congruence ceiling the disproof runs after the strata, mod
+        # p: with every tail coefficient divisible by 97 the equation mod 97
+        # is c^2 = R, so it is unsolvable exactly when that fails mod 97
+        form = MgonalForm(7, (1, 97, 194))
+        ctx = eq2_context(form, 97)
+        for A, B, k in ((1, 0, 0), (0, 1, 0), (5, 3, 2), (10, 2, 7)):
+            c, R = eq2_constants(form, A, B, k)
+            v = solvable_eq2_at(form, A, B, k, ctx)
+            expected = pair_congruence_oracle(c, R, 1, 1, (97, 194), 97)
+            assert (v.status == EQ2_UNSOLVABLE) == (not expected), (A, B, k)
+            if expected and v.witness is None:
+                assert v.status == EQ2_UNKNOWN
 
     def test_precision_contract(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
