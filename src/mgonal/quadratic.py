@@ -8,7 +8,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
+from operator import add
 
 from .arith import (
     INFINITY,
@@ -346,15 +347,19 @@ def _gram_of(A, vectors, mod):
     return out
 
 
-def _res_ord(x: int, p: int, cap: int) -> int | float:
-    """Valuation of a residue, capped: divisible by p^cap counts as infinite."""
-    if x % p ** cap == 0:
-        return INFINITY
+def _ord(x: int, p: int) -> int:
+    """ord_p of a nonzero x.  For a p that a ``PAdicContext`` has already
+    validated; ``arith.ordp`` would test its primality again."""
     v = 0
     while x % p == 0:
         x //= p
         v += 1
     return v
+
+
+def _res_ord(x: int, p: int, cap: int) -> int | float:
+    """Valuation of a residue, capped: divisible by p^cap counts as infinite."""
+    return INFINITY if x % p ** cap == 0 else _ord(x, p)
 
 
 def _sqrt_2adic(z: int, prec: int) -> int:
@@ -656,29 +661,31 @@ def eq2_constants(form: MgonalForm, A: int, B: int, k: int) -> tuple[int, int]:
     return B + k * (m - 2), form.coeffs[0] * (2 * A + B + k * (m - 4))
 
 
-def _eq2_value(c: int, R: int, scale: int, a1: int, tail, y) -> int:
-    s = sum(t * yi for t, yi in zip(tail, y))
-    q = sum(t * yi * yi for t, yi in zip(tail, y))
-    return (c - scale * s) ** 2 + scale * scale * a1 * q - R
-
-
-def _eq2_derivatives(c: int, scale: int, a1: int, tail, y):
-    s = sum(t * yi for t, yi in zip(tail, y))
+def _eq2_terms(c: int, R: int, scale: int, a1: int, tail, y) -> tuple[int, int]:
+    """(value, lin) of the reduced equation at y, from s = sum a_i y_i and
+    q = sum a_i y_i^2 taken once: lin = c - scale*s and value =
+    lin^2 + scale^2 a_1 q - R.  The derivative in y_i is
+    2 scale a_i (scale a_1 y_i - lin)."""
+    s = q = 0
+    for t, yi in zip(tail, y):
+        ty = t * yi
+        s += ty
+        q += ty * yi
     lin = c - scale * s
-    return [2 * scale * t * (scale * a1 * yi - lin) for t, yi in zip(tail, y)]
+    return lin * lin + scale * scale * a1 * q - R, lin
 
 
 def _refine_eq2(c, R, scale, a1, tail, y, i, p, prec):
     """Newton-refine coordinate i of a certified solution to depth p^prec."""
     mod = p ** prec
     y = [yi % mod for yi in y]
+    lead = 2 * scale * tail[i]
     for _ in range(prec + 4):
-        g = _eq2_value(c, R, scale, a1, tail, y)
+        g, lin = _eq2_terms(c, R, scale, a1, tail, y)
         if g % mod == 0:
             return tuple(y)
-        d = _eq2_derivatives(c, scale, a1, tail, y)[i]
-        o = int(ordp(d, p))
-        po = p ** o
+        d = lead * (scale * a1 * y[i] - lin)
+        po = p ** _ord(d, p)
         step = (g // po) * modinv((d // po) % mod, mod) % mod
         y[i] = (y[i] - step) % mod
     raise ContractError("auxiliary equation refinement did not converge")  # pragma: no cover
@@ -688,63 +695,77 @@ def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
     """Certified congruence search for solutions x = p^sigma y, y primitive.
 
     Returns ((witness_y, lift_coordinate_or_None), budget_exhausted_flag);
-    the witness slot is None when nothing certified within the depth.  Nodes
-    are checked in lexicographic order, and the level-1 roots as they are
-    enumerated, so the first certified node is returned without building the
-    rest of its level.
+    the witness slot is None when nothing certified within the depth.
+
+    Level 1 holds the nonzero residues y mod p with value = 0 mod p.  Level
+    l+1 holds the p^n children y + p^l d (d mod p) of each level-l node
+    whose value is 0 mod p^(l+1), cut after ``EQ2_NODE_BUDGET`` nodes, which
+    sets the flag.  A node certifies when its smallest derivative valuation
+    t (the first coordinate on ties) has p^(2t+1) dividing the value, or
+    when it is an exact zero with every derivative 0.
+
+    Nodes are generated and checked in lexicographic order, so the first
+    certified node is returned without building the rest of its level; the
+    flag still comes from the level's full size.  Each node's sums s and q
+    are taken once, and its value and every derivative come from them.
     """
     n = len(tail)
-    if p ** n > EQ2_ROOT_CEILING:
+    width = p ** n
+    if width > EQ2_ROOT_CEILING:
         raise ResourceError(
             f"stratum root enumeration of {p}^{n} residues exceeds the search budget"
         )
     eff = scale * p ** sigma
+    lead = [2 * eff * t for t in tail]
+    eff_a1 = eff * a1
 
-    def value(y):
-        return _eq2_value(c, R, eff, a1, tail, y)
-
-    def certified(y):
-        val = value(y)
-        ds = _eq2_derivatives(c, eff, a1, tail, y)
-        finite = [(int(ordp(d, p)), i) for i, d in enumerate(ds) if d != 0]
-        if finite:
-            t, i = min(finite)
-            if val == 0 or ordp(val, p) >= 2 * t + 1:
-                return y, i
-        elif val == 0:
+    def certified(y, val, lin):
+        best = None
+        for i, (lt, yi) in enumerate(zip(lead, y)):
+            d = lt * (eff_a1 * yi - lin)
+            if d:
+                o = _ord(d, p)
+                if best is None or o < best[0]:
+                    best = (o, i)
+        if best is None:
             # exact critical zero: already an exact solution
-            return y, None
-        return None
+            return (y, None) if val == 0 else None
+        return (y, best[1]) if val % p ** (2 * best[0] + 1) == 0 else None
 
-    nodes = []
+    # survivors have gradient = 0 mod p (a unit gradient would have
+    # certified), so a node's children all satisfy the next congruence level
+    # or none do: only nodes whose value passes it are kept
+    survivors = []
     for y in product(range(p), repeat=n):
-        if any(y) and value(y) % p == 0:
-            found = certified(y)
-            if found is not None:
-                return found, False
-            nodes.append(y)
+        if any(y):
+            val, lin = _eq2_terms(c, R, eff, a1, tail, y)
+            if val % p == 0:
+                found = certified(y, val, lin)
+                if found is not None:
+                    return found, False
+                if val % (p * p) == 0:
+                    survivors.append(y)
     budget_hit = False
     for level in range(1, depth):
-        # survivors have gradient = 0 mod p (a unit gradient would have
-        # certified), so a node's children all satisfy the next congruence
-        # level or none do
         plevel = p ** level
-        nxt = []
-        for y in nodes:
-            if value(y) % (plevel * p) == 0:
-                for delta in product(range(p), repeat=n):
-                    nxt.append(tuple(yi + plevel * d for yi, d in zip(y, delta)))
-                if len(nxt) > EQ2_NODE_BUDGET:
-                    budget_hit = True
-                    nxt = nxt[:EQ2_NODE_BUDGET]
-                    break
-        nodes = nxt
-        if not nodes:
-            break
-        for y in nodes:
-            found = certified(y)
+        budget_hit = budget_hit or len(survivors) * width > EQ2_NODE_BUDGET
+        steps = [tuple(plevel * d for d in delta)
+                 for delta in product(range(p), repeat=n)]
+        parents, survivors = survivors, []
+        children = islice(
+            (tuple(map(add, y, step)) for y in parents for step in steps),
+            EQ2_NODE_BUDGET,
+        )
+        next_mod = plevel * p * p
+        for y in children:
+            val, lin = _eq2_terms(c, R, eff, a1, tail, y)
+            found = certified(y, val, lin)
             if found is not None:
                 return found, budget_hit
+            if val % next_mod == 0:
+                survivors.append(y)
+        if not survivors:
+            break
     return None, budget_hit
 
 
@@ -754,20 +775,30 @@ def _pair_states(tail: tuple[int, ...], mod: int, g: int) -> tuple[int, ...]:
     vectors x with (sum a_i x_i, sum a_i x_i^2) = (s, q) mod ``mod``.
 
     It depends on the form only through the tail, so one build serves every
-    (c, R, k) at a prime.  Each move (ds, dq) of one coordinate rotates the
-    masks by dq: ``mod``^2 rotations per coefficient.
+    (c, R, k) at a prime.  With M = ``mod``, all states live in one integer
+    of M^2 bits, bit s*M + q set when (s, q) is reachable: row s is the mask
+    of entry s.  A coordinate's move (ds, dq) rotates every row by dq (two
+    shifts under repeated row masks) and then the rows by ds (two shifts of
+    ds*M bits).  Moves are grouped by dq, so a coefficient costs one row
+    rotation per distinct dq plus one row shift per move: at most 2M
+    operations on M^2-bit integers.
     """
-    full = (1 << mod) - 1
-    masks = [1] + [0] * (mod - 1)
+    row = (1 << mod) - 1
+    full = (1 << mod * mod) - 1
+    rows = full // row  # bit 0 of every row
+    states = 1
     for t in tail:
-        moves = {(t * y % mod, g * t * y * y % mod) for y in range(mod)}
-        nxt = [0] * mod
-        for ds, dq in moves:
-            for s, bits in enumerate(masks):
-                if bits:
-                    nxt[(s + ds) % mod] |= ((bits << dq) | (bits >> (mod - dq))) & full
-        masks = nxt
-    return tuple(masks)
+        by_dq: dict[int, set[int]] = {}
+        for y in range(mod):
+            by_dq.setdefault(g * t * y * y % mod, set()).add(t * y % mod)
+        nxt = 0
+        for dq, shifts in by_dq.items():
+            low = rows * ((1 << (mod - dq)) - 1)  # bits q < M - dq of each row
+            turned = ((states & low) << dq) | ((states & ~low) >> (mod - dq))
+            for ds in shifts:
+                nxt |= ((turned << ds * mod) & full) | (turned >> (mod - ds) * mod)
+        states = nxt
+    return tuple((states >> s * mod) & row for s in range(mod))
 
 
 def _congruence_depth(p: int, precision: int) -> int | None:
@@ -862,7 +893,7 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     # with no l2 the disproof is the congruence mod p; the strata above
     # already enumerated p^n <= EQ2_ROOT_CEILING residues, so do it by hand
     solvable = l2 is not None or any(
-        _eq2_value(c, R, scale, a1, tail, y) % p == 0
+        _eq2_terms(c, R, scale, a1, tail, y)[0] % p == 0
         for y in product(range(p), repeat=len(tail))
     )
     return Eq2Verdict(
@@ -878,4 +909,4 @@ def eq2_residual(form: MgonalForm, A: int, B: int, k: int, x_tail,
     if len(x_tail) != len(tail):
         raise InputError("tail vector length mismatch")
     c, R = eq2_constants(form, A, B, k)
-    return _eq2_value(c, R, scale, form.coeffs[0], tail, tuple(x_tail))
+    return _eq2_terms(c, R, scale, form.coeffs[0], tail, tuple(x_tail))[0]

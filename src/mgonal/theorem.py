@@ -301,11 +301,9 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
             )
     if not pairs:
         for p in primes:
-            exhausted = sum(
-                1 for key in memo if key[0] == p
-            )
+            residues = len({key[1] for key in memo if key[0] == p})
             diagnostics.append(
-                f"p={p}: no admissible residue among {exhausted} tested "
+                f"p={p}: no admissible residue among {residues} tested "
                 f"(stability exponent {exponents[p]})"
             )
         warnings.warn(

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -36,11 +38,14 @@ from mgonal.quadratic import (
 
 from oracles import (
     UNDECIDED,
+    _tail_sum_states,
     cofactor_determinant,
     diagonal_oracle,
     isotropy_oracle,
     pair_congruence_oracle,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestReducedQuadratic:
@@ -266,6 +271,47 @@ class TestEq2:
                     res = eq2_residual(form, A, B, k, v.witness, scale=scale)
                     assert res % p ** v.precision == 0, case
         assert {EQ2_PRIMITIVE, EQ2_UNSOLVABLE} <= statuses
+
+    def test_pair_states_match_the_oracle(self):
+        """Entry s of the packed state bitset is exactly the set of g*q mod M
+        over the (s, q) that the set-of-tuples enumeration reaches, for tails
+        of length 1-6 (coefficients often divisible by p) and g = 0, g a
+        nonzero non-unit and g a unit."""
+        rng = random.Random(3141)
+        for p, mod in ((2, 64), (3, 81), (5, 25), (7, 49), (11, 11), (13, 13)):
+            for length in range(1, 7):
+                for _ in range(2):
+                    tail = tuple(rng.choice((1, 2, 3, 5, 7)) * p ** rng.choice((0, 0, 1, 2))
+                                 for _ in range(length))
+                    states = _tail_sum_states(tail, mod, None)
+                    gs = [0, rng.randrange(1, mod, p)]  # zero and a unit
+                    if mod > p:
+                        gs.append(p * rng.randrange(1, mod // p))
+                    for g in gs:
+                        expected = [0] * mod
+                        for s, q, _ in states:
+                            expected[s] |= 1 << (g * q % mod)
+                        assert _pair_states(tail, mod, g) == tuple(expected), \
+                            (tail, mod, g)
+
+    def test_deep_witnesses_are_pinned(self):
+        """Calls whose first certified stratum node lies at level 2 or deeper:
+        the 39 such calls of the benchmark's admissible search (31 at p = 2,
+        4 at p = 5, 3 at p = 3, 1 at p = 7) and four seeded level-3 calls at
+        p = 2.
+        Status, min order, witness, precision and the budget flag must match
+        the record."""
+        cases = json.loads((GOLDEN / "eq2_deep_witnesses.json").read_text())
+        assert len(cases) == 43
+        for case in cases:
+            form = MgonalForm(case["m"], tuple(case["coeffs"]))
+            v = solvable_eq2_at(form, case["A"], case["B"], case["k"],
+                                eq2_context(form, case["p"]), scale=case["scale"])
+            got = (v.status, v.min_order,
+                   None if v.witness is None else list(v.witness), v.precision,
+                   v.budget_exhausted)
+            assert got == (case["status"], case["min_order"], case["witness"],
+                           case["precision"], case["budget_exhausted"]), case
 
     def test_disproof_precedes_the_root_ceiling(self):
         # 13^6 level-1 roots exceed EQ2_ROOT_CEILING.  At (A, B, k) = (1, 0, 0)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mgonal import (
+    AnomalyWarning,
     InputError,
     MgonalForm,
     admissible_k,
@@ -19,7 +20,13 @@ from mgonal import (
     unit_deficient_primes,
 )
 import mgonal.theorem
-from mgonal.quadratic import EQ2_PRIMITIVE, EQ2_UNKNOWN, Eq2Verdict, solvable_eq2_at
+from mgonal.quadratic import (
+    EQ2_PRIMITIVE,
+    EQ2_UNKNOWN,
+    EQ2_UNSOLVABLE,
+    Eq2Verdict,
+    solvable_eq2_at,
+)
 from mgonal.serialize import parse_json_int
 from mgonal.theorem import DYADIC, ODD_BAD, ODD_GOOD
 
@@ -170,6 +177,29 @@ class TestAdmissibleK:
         result = admissible_k(form, 52, pair_cap=3)
         assert result.diagnostics == ("p=2: 1 undecided residue, 1 budget hit",)
         assert all(pair.k != 1 or pair.P != 1 for pair in result.pairs)
+
+    def test_exhausted_residues_are_counted_once(self, monkeypatch):
+        # P ranges over {1, 2}, so each k residue at p = 2 is tried at two
+        # scales; the diagnostic counts the residues, not the (residue,
+        # scale) verdicts
+        form = MgonalForm(12, (10, 9, 9, 1, 1))
+        assert mgonal.theorem._scale_options(form, (2, 3, 5)) == [1, 2]
+        real = mgonal.theorem.solvable_eq2_at
+
+        def unsolvable_at_2(form, A, B, k, ctx, *, scale=1):
+            if ctx.p == 2:
+                return Eq2Verdict(status=EQ2_UNSOLVABLE, min_order=None, witness=None,
+                                  precision=ctx.precision, budget_exhausted=False)
+            return real(form, A, B, k, ctx, scale=scale)
+
+        monkeypatch.setattr(mgonal.theorem, "solvable_eq2_at", unsolvable_at_2)
+        with pytest.warns(AnomalyWarning):
+            result = admissible_k(form, 52, k_limit=40)
+        assert not result.pairs and result.scanned_k == 40
+        e = k_stability_exponent(form, 2).e
+        assert 2 ** e > 40
+        assert f"p=2: no admissible residue among 40 tested (stability exponent {e})" \
+            in result.diagnostics
 
     def test_zero_target(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
