@@ -21,19 +21,13 @@ from dataclasses import dataclass
 from .arith import is_prime, unit_square_class_reps
 from .errors import InputError
 from .polygonal import MgonalForm
-from .quadratic import _diagonal_solvable, _diagonal_solvable_run, _unit_modulus
+from .quadratic import _diagonal_solvable, _diagonal_solvable_run
 from .arith import odd_prime_divisors
 
 UNIMODULAR_SHORTCUT = "unimodular-universal"
 
 #: Smallest rank for which the unimodular-universality shortcut is valid.
 _MIN_SHORTCUT_RANK = 3
-
-#: Largest residue modulus p^D that ``obstructed_at_small_prime`` builds a
-#: table for.  The build takes time quadratic in p^D: milliseconds up to this
-#: size, 23 s at 79^3 (2-core machine); the table's own ceiling is
-#: ``quadratic.RESIDUE_TABLE_CEILING`` (2^19).
-SMALL_TABLE_MODULUS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -138,20 +132,6 @@ def locally_represents(form: MgonalForm, N: int) -> LocalRepresentation:
     return LocalRepresentation(represented=ok, verdicts=tuple(verdicts))
 
 
-def obstructed_at_small_prime(form: MgonalForm, N: int) -> bool:
-    """True iff some relevant prime whose residue table has at most
-    SMALL_TABLE_MODULUS entries rules N out over Z_p.
-
-    True implies ``not locally_represents(form, N)``; False decides nothing,
-    because primes with larger tables are skipped.  Requires rank >= 3.
-    """
-    return any(
-        _unit_modulus(form.coeffs, p)[1] <= SMALL_TABLE_MODULUS
-        and not locally_represents_at(form, N, p).represented
-        for p in relevant_primes(form)
-    )
-
-
 def local_flags(form: MgonalForm, bound: int) -> bytes:
     """Byte N is 1 iff ``locally_represents(form, N)``, for 0 <= N <= bound:
     one periodic residue pattern per prime, combined by AND."""
@@ -170,9 +150,8 @@ def is_locally_universal(form: MgonalForm) -> bool:
 
     Per relevant prime the target criterion value sweeps an affine image of
     Z_p with unit multiplier, so universality reduces to the diagonal form
-    representing every square class p^delta u; classes with delta >= 2 follow
-    from delta - 2 by scaling, so delta in {0, 1} suffices (a couple of extra
-    depths are checked anyway since they are cheap).
+    representing every square class p^delta u; classes with delta >= 2
+    follow from delta - 2 by scaling, so delta in {0, 1} suffices.
     """
     if form.rank < _MIN_SHORTCUT_RANK:
         raise InputError("local universality check needs rank >= 3")
@@ -180,7 +159,7 @@ def is_locally_universal(form: MgonalForm) -> bool:
         rule = _rule_for(form.m, p)
         if rule in (1, 2):
             continue
-        for delta in range(4):
+        for delta in (0, 1):
             for u in unit_square_class_reps(p):
                 if not _diagonal_solvable(form.coeffs, u * p ** delta, p):
                     return False

@@ -154,28 +154,27 @@ def _term_table(m: int, a: int, cap: int):
 def represents(form: MgonalForm, N: int) -> Witness | None:
     """A verified witness for form = N over the integers, or None.
 
-    At rank >= 3 a target that fails the local criterion at a relevant prime
-    whose residue table is small (``localrep.obstructed_at_small_prime``, at
-    most 2^13 residues) gets an exact early None: an integer solution is a
-    p-adic solution at every prime, so no search can find one.  Primes with
-    larger tables, and rank-1 and rank-2 forms, which the local criterion
-    does not cover, are left to the search.
+    At rank >= 3 a target that fails the local criterion
+    (``localrep.locally_represents``) gets an exact early None: an integer
+    solution is a p-adic solution at every prime, so no search can find one.
+    Rank-1 and rank-2 forms, which the local criterion does not cover, are
+    left to the search.
 
     The search is exhaustive over the finite region a_i P_m(x_i) <= N, with
     capacity pruning; coefficients are processed left to right and candidate
     values largest-first (positive x preferred on ties), so the witness
     returned is reproducible.  The last coordinate is resolved by exact
-    inversion.  Where the small tables cover the local criterion, the cost
-    follows the target's status rather than its size alone: a locally
-    obstructed target costs one residue lookup per prime, a represented one
-    ends at its first witness, and only an exceptional one (locally
-    represented, not represented) exhausts the region.
+    inversion.  At rank >= 3 the cost follows the target's status rather
+    than its size alone: a locally obstructed target costs one orbit lookup
+    per relevant prime, a represented one ends at its first witness, and
+    only an exceptional one (locally represented, not represented) exhausts
+    the region.
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
     if form.rank >= 3:
-        from .localrep import obstructed_at_small_prime  # localrep imports this module
-        if obstructed_at_small_prime(form, N):
+        from .localrep import locally_represents  # localrep imports this module
+        if not locally_represents(form, N):
             return None
     coeffs = form.coeffs
     m = form.m

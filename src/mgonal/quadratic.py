@@ -14,11 +14,13 @@ from operator import add
 from .arith import (
     INFINITY,
     PAdicContext,
-    bit_bytes,
     hilbert_symbol,
     is_padic_square,
+    legendre_symbol,
     modinv,
+    ord_and_unit,
     ordp,
+    unit_square_class_reps,
 )
 from .errors import AnomalyWarning, ContractError, InputError, ResourceError
 from .polygonal import MgonalForm
@@ -139,102 +141,118 @@ def diagonal_context(coeffs, c: int, p: int) -> PAdicContext:
     return PAdicContext(p, diagonal_decision_depth(coeffs, c, p))
 
 
-#: Largest modulus p^D of a certified residue table.  The build takes time
-#: quadratic in p^D: 0.75 s at 2^17, 10.5 s at 2^19, 159 s at 2^21 (2-core
-#: machine), so a larger table is refused rather than built.
-RESIDUE_TABLE_CEILING = 1 << 19
+# Values of Q(x) = sum a_i x_i^2 over Z_p (e = ord_p 2, b_i = ord_p a_i,
+# beta = max b_i).  Scaling x by a unit multiplies Q by a unit square, so the
+# nonzero values form orbits (v, j): the p^v u with u in unit square class j.
+# A term with ord x_i = k sweeps a_i x_i^2 + p^(b_i+2k+1+2e) Z_p, so a choice
+# of term levels sweeps a coset t + p^w Z_p, w = 1 + 2e + its least level:
+# all of p^w Z_p if p^w | t, else level v = ord t in the classes of the units
+# = t/p^v mod p^min(w-v, 1+2e).  Orbits > 2e levels apart sum to the lower.
+#
+# Fold: for ord c = v >= v0 = beta + 2 + 2e, c is a value iff c/p^2 is.  Let
+# c = Q(x) with a unit x_i (else use x/p).  x's coset holds c and has
+# w <= 1 + 2e + beta, so it is p^w Z_p, which holds c/p^2 unless x's least
+# term level is beta and v = v0.  Then x's terms at level beta (unit parts
+# s_i) give every class at level beta, so (doubling x at p = 2) at v0 - 2.
+# Odd p: sum s_i = 0 mod p needs two terms, an isotropic, so universal, form
+# mod p.  p = 2: the s_i are even in number; s_i and s_i + 4 (another term
+# doubled) are values, and so is s_i + 2 (and + 4) mod 8: from an s_k of that
+# class mod 4, from three terms if four s_i agree mod 4, or else from one of
+# the terms at level beta + 1, which are then odd in number.
 
 
-def _unit_modulus(coeffs, p: int) -> tuple[int, int]:
-    """(D, p^D) of ``_unit_reachable(coeffs, p)``, without building it."""
-    e = 1 if p == 2 else 0
-    beta = max(int(ordp(a, p)) for a in coeffs)
-    depth = 2 * (e + beta) + 1
-    return depth, p ** depth
+def _square_class(u: int, p: int) -> int:
+    """Index in ``unit_square_class_reps(p)`` of the square class of the unit u."""
+    return u % 8 // 2 if p == 2 else (1 - legendre_symbol(u, p)) // 2
 
 
 @lru_cache(maxsize=4096)
-def _unit_reachable(coeffs: tuple[int, ...], p: int):
-    """Bitset of residues mod p^D expressible as sum a_i x_i^2 with a unit x_i.
+def _unit_reachable(coeffs: tuple[int, ...], p: int) -> tuple[int, frozenset]:
+    """(v0, orbits): the orbits (v, j) of nonzero values of sum a_i x_i^2 over
+    Z_p below the fold level v0 (see the comment above), with j indexing
+    ``unit_square_class_reps(p)``.  Built one coefficient at a time from orbit
+    sums, each one orbit's representative plus the other's residues mod
+    p^(1+2e), so the cost is linear in p."""
+    e = int(p == 2)
+    reps = unit_square_class_reps(p)
+    v0 = max(_ord(a, p) for a in coeffs) + 2 + 2 * e
+    m = p ** (1 + 2 * e)
+    units = [{r * x * x % m for x in range(1, m) if x % p} for r in reps]
 
-    D = 2(ord_p(2) + max_i ord_p(a_i)) + 1: at that depth any congruence
-    solution with a unit coordinate certifies an exact p-adic solution via a
-    single-variable Newton lift, and conversely every exact solution with a
-    unit coordinate reduces into the set.  Building it takes time quadratic
-    in p^D, so moduli above ``RESIDUE_TABLE_CEILING`` raise ``ResourceError``.
-    """
-    depth, mod = _unit_modulus(coeffs, p)
-    if mod > RESIDUE_TABLE_CEILING:
-        raise ResourceError(
-            f"certified residue table mod {p}^{depth} exceeds the ceiling of "
-            f"{RESIDUE_TABLE_CEILING} entries"
-        )
-    mask = (1 << mod) - 1
+    def meet(t: int, w: int) -> set[tuple[int, int]]:
+        """The orbits below v0 that t + p^w Z_p meets."""
+        if t % p ** w == 0:
+            return {(v, j) for v in range(w, v0) for j in range(len(reps))}
+        v = _ord(t, p)
+        u = t // p ** v
+        if p == 2 and w - v < 3:
+            return {(v, j) for j, r in enumerate(reps) if (r - u) % (1 << w - v) == 0}
+        return {(v, _square_class(u, p))}
 
-    def shifted(bits: int, vals) -> int:
-        out = 0
-        for v in vals:
-            out |= (bits << v) | (bits >> (mod - v))
-        return out & mask
-
-    no_unit = 1  # empty sum
-    some_unit = 0
+    orbits: set[tuple[int, int]] = set()
     for a in coeffs:
-        unit_vals = sorted({a * u * u % mod for u in range(1, mod) if u % p})
-        other_vals = sorted({a * x * x % mod for x in range(0, mod, p)})
-        all_vals = sorted(set(unit_vals) | set(other_vals))
-        some_unit = shifted(some_unit, all_vals) | shifted(no_unit, unit_vals)
-        no_unit = shifted(no_unit, other_vals)
-    return some_unit, depth, mod
+        b = _ord(a, p)
+        term = {(v, _square_class(a // p ** b, p)) for v in range(b, v0 + 2 * e, 2)}
+        part = {(v, j) for v in range(v0 + 2 * e) for j in range(len(reps))
+                if (v - 2 if v >= v0 else v, j) in orbits}
+        sums = set()
+        for o1 in part:
+            for o2 in term:
+                (lo, j1), (hi, j2) = sorted((o1, o2))
+                if hi - lo <= 2 * e and lo < v0:
+                    for s in units[j2]:
+                        sums |= meet(p ** lo * reps[j1] + p ** hi * s, hi + 1 + 2 * e)
+        orbits = {(v, j) for v, j in orbits | term | sums if v < v0}
+    return v0, frozenset(orbits)
 
 
 @lru_cache(maxsize=65536)
 def _diagonal_solvable(coeffs: tuple[int, ...], c: int, p: int) -> bool:
     if c == 0:
         return True
-    reachable, _, mod = _unit_reachable(coeffs, p)
-    v = int(ordp(c, p))
-    while True:
-        if (reachable >> (c % mod)) & 1:
-            return True
-        if v < 2:
-            return False
-        c //= p * p
+    v0, orbits = _unit_reachable(coeffs, p)
+    v, u = ord_and_unit(c, p)
+    while v >= v0:
         v -= 2
+    return (v, _square_class(u, p)) in orbits
 
 
 def _diagonal_solvable_run(coeffs: tuple[int, ...], p: int, alpha: int, beta: int,
                            n: int) -> bytearray:
     """Byte i is 1 iff ``_diagonal_solvable(coeffs, alpha*i + beta, p)``, for
-    0 <= i < n, alpha a p-adic unit and beta >= 0.  The residue lookup tiles
-    with period p^D; the descent to c/p^2 happens only on the class i = t0
-    (mod p^2), where c/p^2 is again affine in the index with the same alpha,
-    so it recurses on that slice, p^2 times shorter."""
-    reachable, _, mod = _unit_reachable(coeffs, p)
-    table = bit_bytes(reachable, mod)
-    period = bytes(table[(alpha * i + beta) % mod] for i in range(min(mod, n)))
-    out = bytearray(period * -(-n // len(period)))
-    del out[n:]
-    q = p * p
-    t0 = -beta * pow(alpha, -1, q) % q
-    if beta == 0:  # c = 0 at i = 0 is solvable; the descent class starts at q
-        out[0] = 1
-        t0 = q
-    if t0 < n:
-        sub = _diagonal_solvable_run(coeffs, p, alpha, (alpha * t0 + beta) // q,
-                                     len(range(t0, n, q)))
-        out[t0::q] = (int.from_bytes(out[t0::q], "big")
-                      | int.from_bytes(sub, "big")).to_bytes(len(sub), "big")
-    return out
+    0 <= i < n, alpha a p-adic unit and beta >= 0.  Where c = alpha*i + beta
+    is a unit the verdict has period p (8 at p = 2) in i.  On the class
+    i = t (mod p) of the others, c/p is affine in the index with the same
+    alpha: that slice recurses one level up, folding levels v0 and up by 2."""
+    v0, orbits = _unit_reachable(coeffs, p)
+    period = 8 if p == 2 else p
+    inv = pow(alpha, -1, p)
+
+    def run(level: int, beta: int, n: int) -> bytearray:
+        """Byte i is 1 iff p^level * (alpha*i + beta) is a value."""
+        if level == v0:
+            level -= 2
+        pattern = bytes(c % p != 0 and (level, _square_class(c, p)) in orbits
+                        for c in ((alpha * i + beta) % period for i in range(min(period, n))))
+        out = bytearray(pattern * -(-n // period))
+        del out[n:]
+        t = -beta * inv % p
+        if beta == 0:  # c = 0 at i = 0 is a value; the class of 0 goes on at p
+            out[0] = 1
+            t = p
+        if t < n:
+            out[t::p] = run(level + 1, (alpha * t + beta) // p, len(range(t, n, p)))
+        return out
+
+    return run(0, beta, n)
 
 
 def represents_locally_diagonal(coeffs, c: int, ctx: PAdicContext) -> bool:
     """True iff sum a_i x_i^2 = c is solvable over the p-adic integers.
 
-    Decided by valuation descent: at each stage a certified residue search
-    settles whether a solution with a unit coordinate exists; otherwise the
-    target is divided by p^2 (all-divisible solutions scale down).  The
-    context must carry at least the stabilization depth for the instance.
+    Decided on the unit-square orbits of the form's values
+    (``_unit_reachable``).  The context must carry at least the
+    stabilization depth for the instance.
     """
     coeffs = tuple(coeffs)
     if not coeffs:
@@ -804,8 +822,9 @@ def _pair_states(tail: tuple[int, ...], mod: int, g: int) -> tuple[int, ...]:
 def _congruence_depth(p: int, precision: int) -> int | None:
     """Exponent l2 of the pair-congruence modulus: the largest e with
     p^(3e) <= EQ2_CONGRUENCE_CEILING, capped by the precision.  None when even
-    p^3 exceeds the ceiling: the bitset would then cost p^2 rotations of
-    p-bit masks per tail coefficient."""
+    p^3 exceeds the ceiling.  The ceiling bounds the cube because a
+    ``_pair_states`` build mod M = p^l2 takes at most 2M operations on
+    M^2-bit integers per tail coefficient."""
     if p ** 3 > EQ2_CONGRUENCE_CEILING:
         return None
     e = 1

@@ -304,7 +304,8 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
             residues = len({key[1] for key in memo if key[0] == p})
             diagnostics.append(
                 f"p={p}: no admissible residue among {residues} tested "
-                f"(stability exponent {exponents[p]})"
+                f"(stability exponent {exponents[p]})" if residues else
+                f"p={p}: not reached (every scanned k failed at an earlier prime)"
             )
         warnings.warn(
             f"no admissible (k, P) found for {form.describe()} at N={N}",

@@ -243,6 +243,42 @@ def diagonal_oracle(coeffs, c, p, *, max_tuples=300_000):
     )
 
 
+@lru_cache(maxsize=64)
+def _square_sumset(coeffs: tuple[int, ...], mod: int) -> np.ndarray:
+    """Entry r is True iff sum a_i x_i^2 = r (mod ``mod``) has a solution: the
+    sumset of the residue sets {a_i x^2 mod ``mod``}, one cyclic convolution
+    of 0/1 vectors per coefficient (counts stay below ``mod``, far inside
+    float64's exact range, so thresholding at 1/2 is exact)."""
+    squares = np.arange(mod, dtype=np.int64) ** 2 % mod
+    size = 1 << (2 * mod).bit_length()
+    reach = np.zeros(mod)
+    reach[0] = 1
+    for a in coeffs:
+        term = np.zeros(mod)
+        term[squares * (a % mod) % mod] = 1
+        conv = np.fft.irfft(np.fft.rfft(reach, size) * np.fft.rfft(term, size), size)
+        reach = (conv[:mod] + conv[mod:2 * mod] > 0.5).astype(float)
+    return reach > 0
+
+
+def diagonal_residue_oracle(coeffs, c, p) -> bool:
+    """Oracle for sum a_i x_i^2 = c over Z_p, c != 0: solvability mod
+    p^(v+1+2e), with v = ord_p c and e = ord_p 2.
+
+    That congruence decides it.  A unit square is all of 1 + p^(1+2e) Z_p, so
+    a term a x^2 with b = ord_p a and k = ord_p x takes every value in
+    a x^2 + p^(b+2k+1+2e) Z_p.  A solution mod p^L, L = v+1+2e, thus lies in a
+    coset t + p^w Z_p of exact values, where w is 1 + 2e plus the least
+    level b + 2k of its nonzero terms.  If w <= L that coset holds c.  If
+    w > L every nonzero term has level above v, so the sum is 0 mod p^(v+1)
+    while c is not.  Conversely an exact solution reduces mod p^L.
+    """
+    if c == 0:
+        raise InputError("the residue oracle needs a nonzero target")
+    mod = p ** (int(ordp(c, p)) + 1 + 2 * (p == 2))
+    return bool(_square_sumset(tuple(coeffs), mod)[c % mod])
+
+
 def local_rep_oracle(form, N, p, *, max_tuples=300_000):
     """Oracle for sum a_i P_m(x_i) = N over Z_p.
 

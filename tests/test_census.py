@@ -85,6 +85,9 @@ def test_witnesses_verify():
     (20, (1, 4, 16, 64, 5)),
     (16, (1, 3, 9, 27, 27)),
     (12, (2, 3, 5, 7, 11)),
+    (3, (1, 1, 83)),
+    (3, (1, 1, 257)),
+    (4, (1, 1, 512)),
 ])
 def test_range_local_flags_match_per_n(m, coeffs):
     form = MgonalForm(m, coeffs)

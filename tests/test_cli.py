@@ -11,6 +11,8 @@ import mgonal.cli
 import mgonal.theorem
 from mgonal.cli import main
 
+from oracles import diagonal_residue_oracle
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -67,6 +69,20 @@ def test_local_all_primes(capsys):
     assert code == 0
     data = json.loads(out)
     assert [v["p"] for v in data["verdicts"]] == [2, 3]
+
+
+def test_local_at_a_large_prime(capsys):
+    # <1,1,83>_3 needs the criterion at p = 83, once refused as a residue
+    # table mod 83^3
+    code, out, _ = run(capsys, "local", "--m", "3", "--coeffs", "1,1,83",
+                       "--n", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert [v["p"] for v in data["verdicts"]] == [2, 83]
+    for v in data["verdicts"]:
+        if "criterion_value" in v:
+            assert v["represented"] == diagonal_residue_oracle(
+                (1, 1, 83), v["criterion_value"], v["p"])
 
 
 def test_exceptional_stable_bytes(capsys):

@@ -6,17 +6,20 @@ import pytest
 from mgonal import (
     InputError,
     MgonalForm,
-    ResourceError,
     is_locally_universal,
     locally_represents,
     locally_represents_at,
     relevant_primes,
     represents,
 )
-from mgonal.localrep import UNIMODULAR_SHORTCUT, obstructed_at_small_prime
-from mgonal.quadratic import RESIDUE_TABLE_CEILING, _unit_modulus, _unit_reachable
+from mgonal.localrep import UNIMODULAR_SHORTCUT
 
-from oracles import UNDECIDED, local_rep_oracle, reachable_values
+from oracles import (
+    UNDECIDED,
+    diagonal_residue_oracle,
+    local_rep_oracle,
+    reachable_values,
+)
 
 
 def test_relevant_primes_examples():
@@ -180,39 +183,29 @@ def test_soundness_bridge_on_census_style_instances():
             assert locally_represents(form, N).represented
 
 
-def test_small_prime_obstruction_matches_the_criterion():
-    """Small-table obstruction is sound, and equals the criterion when every
-    relevant prime's table is small (coefficients below 20 keep every p^D at
-    most 19^3 = 6859)."""
-    rng = random.Random(55)
-    seen = 0
-    for _ in range(60):
-        coeffs = [rng.randint(1, 19) for _ in range(rng.randint(3, 5))]
-        coeffs[0] = 1
-        form = MgonalForm(rng.randint(3, 20), tuple(coeffs))
-        for N in rng.sample(range(600), 20):
-            obstructed = obstructed_at_small_prime(form, N)
-            assert obstructed == (not locally_represents(form, N).represented)
-            seen += obstructed
-    assert seen > 0
+def _matches_the_residue_oracle(form, N):
+    verdict = locally_represents(form, N)
+    for v in verdict.verdicts:
+        if v.criterion_value is not None:
+            assert v.represented == diagonal_residue_oracle(
+                form.coeffs, v.criterion_value, v.p), (form.describe(), N, v.p)
+    return verdict
 
 
-def test_large_tables_are_skipped():
-    # 257^3 is over the residue table's ceiling: the check skips the prime
-    # rather than raise, and decides nothing
+def test_large_primes_are_decided():
+    # the local criterion at p = 257 once needed a residue table mod 257^3,
+    # over that table's ceiling; the orbit criterion decides it, also at
+    # targets whose criterion value 8N + 259 is divisible by 257
     form = MgonalForm(3, (1, 1, 257))
-    with pytest.raises(ResourceError):
-        locally_represents(form, 2)
-    assert obstructed_at_small_prime(form, 2) is False
+    assert _matches_the_residue_oracle(form, 2).verdicts[-1].p == 257
+    for N in range(2000):
+        if (8 * N + 259) % 257 == 0:
+            _matches_the_residue_oracle(form, N)
 
 
-def test_residue_tables_over_the_ceiling_are_refused():
-    # 83^3 and 2^21 are over the 2^19 ceiling: the criterion raises at once
-    # instead of building a table for minutes; the search still finds 2
-    for form, p in ((MgonalForm(3, (1, 1, 83)), 83), (MgonalForm(4, (1, 1, 512)), 2)):
-        assert _unit_modulus(form.coeffs, p)[1] > RESIDUE_TABLE_CEILING
-        before = _unit_reachable.cache_info().currsize
-        with pytest.raises(ResourceError):
-            locally_represents(form, 2)
-        assert _unit_reachable.cache_info().currsize == before
+def test_forms_once_over_the_table_ceiling_are_decided():
+    # 83^3 and 2^21 were over the residue tables' ceiling: the criterion now
+    # decides them, and the search still finds 2
+    for form in (MgonalForm(3, (1, 1, 83)), MgonalForm(4, (1, 1, 512))):
+        assert _matches_the_residue_oracle(form, 2).represented
         assert represents(form, 2).x == (1, 1, 0)

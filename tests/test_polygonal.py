@@ -15,7 +15,7 @@ from mgonal import (
     represents,
 )
 from mgonal.polygonal import quadratic_linear_sums
-from mgonal.quadratic import _unit_reachable, eq2_residual
+from mgonal.quadratic import eq2_residual
 
 from oracles import reachable_values
 
@@ -161,14 +161,12 @@ class TestRepresents:
             assert represents(form, N) is None
         assert not locally_represents(MgonalForm(16, (1, 3, 9, 27, 27)), N)
 
-    def test_large_residue_tables_are_left_to_the_search(self):
-        # the local criterion would need a table mod 257^3, 251^3 or 2^25,
-        # all over the residue table's ceiling: search instead
-        before = _unit_reachable.cache_info().misses
+    def test_targets_at_large_primes_are_searched(self):
+        # the local criterion passes at 257, 251 and at 2 with 2048 = 2^11,
+        # and the search finds the witness
         assert represents(MgonalForm(3, (1, 1, 257)), 2).x == (1, 1, 0)
         assert represents(MgonalForm(3, (1, 1, 251)), 2).x == (1, 1, 0)
         assert represents(MgonalForm(4, (1, 1, 2048)), 2).x == (1, 1, 0)
-        assert _unit_reachable.cache_info().misses == before
 
     #: (m, coeffs, N, witness): seeded represented targets up to 10^6 and the
     #: witness of the documented visiting order, so that order cannot drift.

@@ -28,8 +28,10 @@ from mgonal.quadratic import (
     EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
     _congruence_depth,
+    _diagonal_solvable,
     _pair_congruence_solvable,
     _pair_states,
+    _unit_reachable,
     diagonal_context,
     diagonal_decision_depth,
     eq2_constants,
@@ -41,6 +43,7 @@ from oracles import (
     _tail_sum_states,
     cofactor_determinant,
     diagonal_oracle,
+    diagonal_residue_oracle,
     isotropy_oracle,
     pair_congruence_oracle,
 )
@@ -142,6 +145,54 @@ class TestDiagonalLocal:
                 coeffs, c, p
             )
             done += 1
+
+    def test_residue_oracle_matches_the_deepening_oracle(self):
+        rng = random.Random(29)
+        done = 0
+        while done < 200:
+            p = rng.choice([2, 3, 5, 7])
+            coeffs = tuple(rng.randint(1, 45) for _ in range(rng.randint(1, 3)))
+            c = rng.randint(1, 500) * rng.choice([1, 1, p, p * p])
+            verdict = diagonal_oracle(coeffs, c, p)
+            if verdict is UNDECIDED:
+                continue
+            assert diagonal_residue_oracle(coeffs, c, p) == verdict, (coeffs, c, p)
+            done += 1
+
+    #: Largest oracle modulus p^(v+1+2e) the level sweep builds a sumset for.
+    ORACLE_MODULUS = 600_000
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_orbits_match_the_residue_oracle_at_every_level(self, p):
+        """Every unit class at every level v <= v0 + 4, v0 the fold level, on
+        forms with coefficients divisible by p, p^2 and p^3, wherever the
+        oracle's modulus stays small: every such level at p = 2 and 3, and
+        levels up to 7 at p = 5, 5 at p = 7 and 4 at p = 11 and 13, which
+        reach the fold at every prime."""
+        e = 1 if p == 2 else 0
+        folded = 0
+        for coeffs in ((1, p, p * p, p ** 3), (1, 1, p ** 3), (3, p, 2 * p * p),
+                       (p, p * p, 5), (1, 2 * p * p), (p ** 3, 7, 7 * p)):
+            v0 = _unit_reachable(coeffs, p)[0]
+            for v in range(v0 + 5):
+                if p ** (v + 1 + 2 * e) > self.ORACLE_MODULUS:
+                    break
+                folded += v >= v0
+                for u in range(1, p ** (1 + 2 * e)):
+                    if u % p:
+                        c = p ** v * u
+                        assert _diagonal_solvable(coeffs, c, p) == \
+                            diagonal_residue_oracle(coeffs, c, p), (coeffs, c, p)
+        assert folded
+
+    @pytest.mark.parametrize("p", [83, 257, 1009])
+    def test_orbits_match_the_residue_oracle_at_large_primes(self, p):
+        for coeffs in ((1, p), (1, 1, p), (2, 3 * p, 5)):
+            for v in (0, 1):
+                for u in range(1, p):
+                    c = p ** v * u
+                    assert _diagonal_solvable(coeffs, c, p) == \
+                        diagonal_residue_oracle(coeffs, c, p), (coeffs, c, p)
 
 
 class TestIsotropy:

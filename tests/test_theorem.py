@@ -200,6 +200,9 @@ class TestAdmissibleK:
         assert 2 ** e > 40
         assert f"p=2: no admissible residue among 40 tested (stability exponent {e})" \
             in result.diagnostics
+        for p in (3, 5):
+            assert f"p={p}: not reached (every scanned k failed at an earlier prime)" \
+                in result.diagnostics
 
     def test_zero_target(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
