@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, unit_square_class_reps
+from .arith import is_prime, odd_prime_divisors, unit_square_class_reps
 from .errors import InputError
 from .polygonal import MgonalForm
 from .quadratic import _diagonal_solvable, _diagonal_solvable_run
-from .arith import odd_prime_divisors
 
 UNIMODULAR_SHORTCUT = "unimodular-universal"
 

@@ -164,11 +164,10 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     capacity pruning; coefficients are processed left to right and candidate
     values largest-first (positive x preferred on ties), so the witness
     returned is reproducible.  The last coordinate is resolved by exact
-    inversion.  At rank >= 3 the cost follows the target's status rather
-    than its size alone: a locally obstructed target costs one orbit lookup
-    per relevant prime, a represented one ends at its first witness, and
-    only an exceptional one (locally represented, not represented) exhausts
-    the region.
+    inversion.  At rank >= 3 the cost follows the target's status, not its
+    size alone: a locally obstructed target costs an orbit lookup per prime,
+    a represented one ends at its first witness, and only an exceptional one
+    (locally represented, not represented) exhausts the region.
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")

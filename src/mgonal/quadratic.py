@@ -171,13 +171,10 @@ def _unit_reachable(coeffs: tuple[int, ...], p: int) -> tuple[int, frozenset]:
     """(v0, orbits): the orbits (v, j) of nonzero values of sum a_i x_i^2 over
     Z_p below the fold level v0 (see the comment above), with j indexing
     ``unit_square_class_reps(p)``.  Built one coefficient at a time from orbit
-    sums, each one orbit's representative plus the other's residues mod
-    p^(1+2e), so the cost is linear in p."""
+    sums, each a few Legendre symbols at an odd prime: the cost hardly grows with p."""
     e = int(p == 2)
     reps = unit_square_class_reps(p)
     v0 = max(_ord(a, p) for a in coeffs) + 2 + 2 * e
-    m = p ** (1 + 2 * e)
-    units = [{r * x * x % m for x in range(1, m) if x % p} for r in reps]
 
     def meet(t: int, w: int) -> set[tuple[int, int]]:
         """The orbits below v0 that t + p^w Z_p meets."""
@@ -189,19 +186,25 @@ def _unit_reachable(coeffs: tuple[int, ...], p: int) -> tuple[int, frozenset]:
             return {(v, j) for j, r in enumerate(reps) if (r - u) % (1 << w - v) == 0}
         return {(v, _square_class(u, p))}
 
+    def orbit_sum(o1, o2) -> set[tuple[int, int]]:
+        """Orbits below v0 met by sums of o1 and o2 (<= 2e levels apart); at odd p, also o1, o2."""
+        (lo, j1), (hi, j2) = sorted((o1, o2))
+        r1, r2 = reps[j1], reps[j2]
+        if p == 2:  # odd squares are 1 mod 8
+            return meet(2 ** lo * r1 + 2 ** hi * r2, hi + 3)
+        # odd p, so hi == lo.  With o1 and o2 the sums give both classes: over F_p,
+        # r1 X^2 + r2 Y^2 = u has p - (-r1 r2|p) > 0 points, none with XY = 0 if u
+        # is in neither class.  At u = 0 one has XY != 0 iff -r1 r2 is a square.
+        both = {(lo, 0), (lo, 1)}
+        return both | meet(0, lo + 1) if legendre_symbol(-r1 * r2, p) == 1 else both
+
     orbits: set[tuple[int, int]] = set()
     for a in coeffs:
         b = _ord(a, p)
         term = {(v, _square_class(a // p ** b, p)) for v in range(b, v0 + 2 * e, 2)}
-        part = {(v, j) for v in range(v0 + 2 * e) for j in range(len(reps))
-                if (v - 2 if v >= v0 else v, j) in orbits}
-        sums = set()
-        for o1 in part:
-            for o2 in term:
-                (lo, j1), (hi, j2) = sorted((o1, o2))
-                if hi - lo <= 2 * e and lo < v0:
-                    for s in units[j2]:
-                        sums |= meet(p ** lo * reps[j1] + p ** hi * s, hi + 1 + 2 * e)
+        part = orbits | {(v + 2, j) for v, j in orbits if v + 2 >= v0}  # levels >= v0 too
+        sums = set().union(*(orbit_sum(o1, o2) for o1 in part for o2 in term
+                             if abs(o1[0] - o2[0]) <= 2 * e))
         orbits = {(v, j) for v, j in orbits | term | sums if v < v0}
     return v0, frozenset(orbits)
 
@@ -226,7 +229,6 @@ def _diagonal_solvable_run(coeffs: tuple[int, ...], p: int, alpha: int, beta: in
     alpha: that slice recurses one level up, folding levels v0 and up by 2."""
     v0, orbits = _unit_reachable(coeffs, p)
     period = 8 if p == 2 else p
-    inv = pow(alpha, -1, p)
 
     def run(level: int, beta: int, n: int) -> bytearray:
         """Byte i is 1 iff p^level * (alpha*i + beta) is a value."""
@@ -234,9 +236,8 @@ def _diagonal_solvable_run(coeffs: tuple[int, ...], p: int, alpha: int, beta: in
             level -= 2
         pattern = bytes(c % p != 0 and (level, _square_class(c, p)) in orbits
                         for c in ((alpha * i + beta) % period for i in range(min(period, n))))
-        out = bytearray(pattern * -(-n // period))
-        del out[n:]
-        t = -beta * inv % p
+        out = bytearray((pattern * -(-n // period))[:n])
+        t = -beta * pow(alpha, -1, p) % p
         if beta == 0:  # c = 0 at i = 0 is a value; the class of 0 goes on at p
             out[0] = 1
             t = p

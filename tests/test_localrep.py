@@ -12,6 +12,7 @@ from mgonal import (
     relevant_primes,
     represents,
 )
+from mgonal.arith import legendre_symbol
 from mgonal.localrep import UNIMODULAR_SHORTCUT
 
 from oracles import (
@@ -201,6 +202,25 @@ def test_large_primes_are_decided():
     for N in range(2000):
         if (8 * N + 259) % 257 == 0:
             _matches_the_residue_oracle(form, N)
+
+
+def test_a_very_large_prime_is_decided():
+    # a residue table at P = 10^9 + 7 was out of reach; <1, 1, P> represents
+    # P u (u a unit) iff u is a square mod P, as x^2 + y^2 is anisotropic mod
+    # P = 3 (mod 4), and every P^2 u
+    P = 1_000_000_007
+    form = MgonalForm(3, (1, 1, P))
+
+    def at_p(N):
+        return next(v for v in locally_represents(form, N).verdicts if v.p == P)
+
+    assert at_p(2).represented
+    # 8N + P + 2 = P u needs u = 7 (mod 8), since P = 7 (mod 8)
+    for u in (7, 15, 23, 31, 39):
+        verdict = at_p((P * (u - 1) - 2) // 8)
+        assert verdict.criterion_value == P * u
+        assert verdict.represented == (legendre_symbol(u, P) == 1), u
+    assert at_p((P * P * 7 - P - 2) // 8).represented
 
 
 def test_forms_once_over_the_table_ceiling_are_decided():

@@ -145,8 +145,8 @@ class TestRepresents:
 
     def test_locally_obstructed_target_returns_none(self):
         # an exhaustive search over either region takes over a minute, so the
-        # local criterion at p = 3 has to settle it; in the second form the
-        # prime 257 has a residue table mod 257^3, too large to build
+        # local criterion at p = 3 has to settle it; in the second form it
+        # also builds the orbits of the prime 257
         N = 320000
         assert N % 27 == 23
         for coeffs in ((1, 3, 9, 27, 27), (1, 3, 9, 27, 27 * 257)):
@@ -162,9 +162,10 @@ class TestRepresents:
         assert not locally_represents(MgonalForm(16, (1, 3, 9, 27, 27)), N)
 
     def test_targets_at_large_primes_are_searched(self):
-        # the local criterion passes at 257, 251 and at 2 with 2048 = 2^11,
-        # and the search finds the witness
+        # the local criterion passes at 257, 251, 10^9 + 7 and at 2 with
+        # 2048 = 2^11, and the search finds the witness
         assert represents(MgonalForm(3, (1, 1, 257)), 2).x == (1, 1, 0)
+        assert represents(MgonalForm(3, (1, 1, 1_000_000_007)), 2).x == (1, 1, 0)
         assert represents(MgonalForm(3, (1, 1, 251)), 2).x == (1, 1, 0)
         assert represents(MgonalForm(4, (1, 1, 2048)), 2).x == (1, 1, 0)
 

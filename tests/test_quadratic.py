@@ -21,7 +21,8 @@ from mgonal import (
     reduced_quadratic,
     represents_locally_diagonal,
 )
-from mgonal.arith import PAdicContext
+import mgonal.quadratic as quadratic
+from mgonal.arith import PAdicContext, least_nonresidue, legendre_symbol
 from mgonal.quadratic import (
     EQ2_PRIMITIVE,
     EQ2_SOLVABLE,
@@ -193,6 +194,41 @@ class TestDiagonalLocal:
                     c = p ** v * u
                     assert _diagonal_solvable(coeffs, c, p) == \
                         diagonal_residue_oracle(coeffs, c, p), (coeffs, c, p)
+
+
+    def test_orbits_at_a_very_large_prime(self, monkeypatch):
+        """At P = 10^9 + 7 no residue sumset fits, but with n a nonresidue,
+        P^v u (u a unit) is a value of <1, P> iff u is a square, of <1, P^2>
+        iff v is 0 and u a square or v is even and positive (then x = P x'
+        leaves the universal x'^2 + y^2), of <1, n P> iff u n^v is a square, and,
+        as x^2 + y^2 is anisotropic mod P = 3 (mod 4), of <1, 1, P> iff v is
+        even or u a square.  A build takes a few Legendre symbols per orbit
+        sum, not one per residue of P."""
+        P = 1_000_000_007
+        assert P % 4 == 3
+        n = least_nonresidue(P)
+        calls = 0
+
+        def counted(a, p):
+            nonlocal calls
+            calls += 1
+            assert calls <= 40, "the build loops over the residues of P"
+            return legendre_symbol(a, p)
+
+        monkeypatch.setattr(quadratic, "legendre_symbol", counted)
+        for coeffs in ((1, P), (1, P * P), (1, n * P), (1, 1, P)):
+            calls = 0
+            _unit_reachable.__wrapped__(coeffs, P)
+        monkeypatch.undo()
+        for v in range(6):
+            for u in (1, 2, 3, 5, n, n + 1, P - 1, P - n):
+                c = P ** v * u
+                square = legendre_symbol(u, P) == 1
+                assert _diagonal_solvable((1, P), c, P) == square
+                assert _diagonal_solvable((1, P * P), c, P) == (v % 2 == 0 and (v > 0 or square))
+                assert _diagonal_solvable((1, n * P), c, P) == \
+                    (legendre_symbol(u * n ** v, P) == 1)
+                assert _diagonal_solvable((1, 1, P), c, P) == (v % 2 == 0 or square)
 
 
 class TestIsotropy:
