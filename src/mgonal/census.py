@@ -10,10 +10,9 @@ import operator
 import sys
 import time
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .arith import bit_bytes
 from .errors import InputError, ResourceError
@@ -33,19 +32,41 @@ MAX_BOUND = 50_000_000
 _value_table = _term_table
 
 
-def _reach_stages(form: MgonalForm, bound: int):
-    """Bitsets reach[i] of sums of the first i terms (bit N set = reachable)."""
-    mask = (1 << (bound + 1)) - 1
+def _term_values(m: int, a: int, bound: int) -> list[int]:
+    """The distinct values a*P_m(x) <= bound, ascending (x and -x share a
+    value when m = 4)."""
+    return sorted(set(_term_table(m, a, bound)[1]))
+
+
+def _add_term(reach: int, m: int, a: int, bound: int) -> int:
+    """The bitset of the sums s + a*P_m(x) <= bound over s in ``reach``."""
+    out = 0
+    # Largest shift first: every partial OR then has the final size, so the
+    # allocator reuses freed blocks instead of mapping fresh pages for ever
+    # larger ones (a third of the stages' time at bound 10^7, 2-core VM).
+    for v in reversed(_term_values(m, a, bound)):
+        out |= reach << v
+    return out & ((1 << (bound + 1)) - 1)
+
+
+def _reach_stages(form: MgonalForm, bound: int) -> list[int]:
+    """Bitsets reach[i] of the sums <= bound of the first i terms (bit N set =
+    reachable), for i = 0..rank-1.  The last term is left to
+    ``exceptional_set``, which probes it at the N the others miss, or sweeps
+    its stage when those N outnumber its values."""
     reach = [1]
-    acc = 1
-    for a in form.coeffs:
-        _, values_desc = _term_table(form.m, a, bound)
-        nxt = 0
-        for v in set(values_desc):  # x and -x share a value when m = 4
-            nxt |= acc << v
-        acc = nxt & mask
-        reach.append(acc)
+    for a in form.coeffs[:-1]:
+        reach.append(_add_term(reach[-1], form.m, a, bound))
     return reach
+
+
+def _ones(mask: bytes):
+    """The indices of the 1 bytes of a 0/1 byte mask, ascending: one C scan
+    plus one step per 1."""
+    i = mask.find(1)
+    while i >= 0:
+        yield i
+        i = mask.find(1, i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +85,23 @@ class ExceptionalReport:
     represented_count: int
     max_exceptional: int | None
     timings: dict
-    _stages: list
+    _stages: list  # reach stages 0..rank-1 (``_reach_stages``)
     _local: bytes
 
     def witness(self, N: int) -> tuple[int, ...] | None:
-        """Witness for a represented N <= bound, from the census's reach
-        stages, else None."""
+        """Witness for a represented N <= bound, else None.
+
+        N is represented exactly when it is locally represented and not
+        exceptional, since every represented N is locally represented.  The
+        witness is then read back through the reach stages, last term first.
+        """
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
-        stages = self._stages
-        if not (stages[-1] >> N) & 1:
+        exc = self.exceptional
+        j = bisect_left(exc, N)
+        if not self._local[N] or exc[j:j + 1] == (N,):
             return None
+        stages = self._stages
         out = []
         rem = N
         for i in range(self.form.rank - 1, -1, -1):
@@ -140,6 +167,14 @@ def exceptional_set(form: MgonalForm, bound: int, *,
     The represented side is a complete subset-sum reachability table over the
     (nonnegative) term values, so every verdict below the bound is exact; the
     local side is one periodic residue pattern per prime (``local_flags``).
+    The table stops one term short, at the sums of the first rank-1 terms.
+    The candidates are the locally represented N that it misses.  When they
+    are no more than the distinct values of the last term, each is decided by
+    probing that stage at N - v for every last-term value v <= N: at most
+    (number of values)^2 byte lookups, below the cost of sweeping the last
+    stage.  Otherwise the last stage is swept, and the candidates it misses
+    are the exceptions.  Every represented N is locally represented, so the
+    represented count is the locally represented count less the exceptions.
     ``jobs`` is accepted for compatibility and has no effect.
     """
     if bound < 1:
@@ -156,25 +191,38 @@ def exceptional_set(form: MgonalForm, bound: int, *,
         )
     t0 = time.perf_counter()
     stages = _reach_stages(form, bound)
-    reach = stages[-1]
     t1 = time.perf_counter()
     local = local_flags(form, bound)
     t2 = time.perf_counter()
     n = bound + 1
-    unreached = (int.from_bytes(local, "big")
-                 & ~int.from_bytes(bit_bytes(reach, n), "big")).to_bytes(n, "big")
-    exceptional = tuple(compress(range(n), unreached))
-    locally_represented_count = local.count(1)
-    represented_count = reach.bit_count()
+    local_bits = int.from_bytes(local, "big")  # one bit per flag byte
+    locally_represented_count = local_bits.bit_count()
+    # Reach lies within local, so the candidates number the difference of
+    # the counts, and local ^ reach (no negative int to copy) is local & ~reach.
+    reach = stages[-1]
+    last = _term_values(form.m, form.coeffs[-1], bound)
+    sweep_s = 0.0
+    if locally_represented_count - reach.bit_count() > len(last):
+        ts = time.perf_counter()
+        reach = _add_term(reach, form.m, form.coeffs[-1], bound)
+        sweep_s = time.perf_counter() - ts
+        last = []  # every term is in reach: nothing left to probe
+    view = bit_bytes(reach, n)
+    candidates = local_bits ^ int.from_bytes(view, "big")
+    exceptional = tuple(
+        N for N in _ones(candidates.to_bytes(n, "big"))
+        if not any(view[N - v] for v in last[:bisect_right(last, N)])
+    )
     t3 = time.perf_counter()
-    reach_s, local_s, extract_s = (round(t1 - t0, 6), round(t2 - t1, 6),
-                                   round(t3 - t2, 6))
+    reach_s, local_s, extract_s = (round(t1 - t0 + sweep_s, 6),
+                                   round(t2 - t1, 6),
+                                   round(t3 - t2 - sweep_s, 6))
     return ExceptionalReport(
         form=form,
         bound=bound,
         exceptional=exceptional,
         locally_represented_count=locally_represented_count,
-        represented_count=represented_count,
+        represented_count=locally_represented_count - len(exceptional),
         max_exceptional=exceptional[-1] if exceptional else None,
         timings={
             "reach_seconds": reach_s,

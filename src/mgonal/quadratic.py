@@ -97,7 +97,10 @@ class ReducedQuadratic:
     det: int
 
 
+@lru_cache(maxsize=1024)
 def reduced_quadratic(form: MgonalForm) -> ReducedQuadratic:
+    """The reduced form of ``form``, cached: every eq2 stability depth reads
+    its determinant."""
     a = form.coeffs
     n = len(a)
     if n < 2:

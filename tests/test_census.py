@@ -17,6 +17,7 @@ from mgonal import (
     scaling_experiment,
 )
 
+from mgonal.census import _term_values
 from mgonal.polygonal import _term_table
 
 from oracles import reachable_values
@@ -59,6 +60,59 @@ def test_pentagonal_census_against_double_scan():
     assert list(report.exceptional) == exc
     assert report.locally_represented_count == nloc
     assert report.represented_count == nrep
+
+
+def _last_term_candidates(report):
+    """The locally represented N that the first rank-1 terms miss, and the
+    number of distinct last-term values: the census probes those N when
+    they are no more than those values, and sweeps the last stage otherwise."""
+    form, first = report.form, report._stages[-1]
+    candidates = [n for n in range(report.bound + 1)
+                  if report.locally_represented(n) and not (first >> n) & 1]
+    return candidates, len(_term_values(form.m, form.coeffs[-1], report.bound))
+
+
+@pytest.mark.parametrize("m, coeffs, bound", [
+    (8, (3, 3, 3, 3, 1), 1500),  # the first four terms reach only 3Z
+    (5, (1, 1, 1), 1500),
+    (7, (1, 2, 3), 1500),
+    (5, (1, 1, 1, 1, 10007), 1000),  # the last term takes the value 0 only
+])
+def test_swept_last_stage_against_double_scan(m, coeffs, bound):
+    form = MgonalForm(m, coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = exceptional_set(form, bound)
+        exc, nloc, nrep = simple_double_scan(form, bound)
+    assert list(report.exceptional) == exc
+    assert report.locally_represented_count == nloc
+    assert report.represented_count == nrep
+    assert len(report._stages) == form.rank
+    candidates, values = _last_term_candidates(report)
+    if coeffs[-1] <= bound:
+        assert len(candidates) > values  # the sweep, not the probes
+    else:
+        assert values == 1
+
+
+def test_probed_last_term_witnesses():
+    form = MgonalForm(12, (2, 3, 5, 7, 11))
+    bound = 10_000
+    report = exceptional_set(form, bound)
+    assert len(report._stages) == form.rank
+    candidates, values = _last_term_candidates(report)
+    assert len(candidates) <= values  # the probes, not the sweep
+    reachable = reachable_values(form, bound)
+    exceptional = set(report.exceptional)
+    assert exceptional == {n for n in candidates if n not in reachable}
+    assert report.represented_count == len(reachable)
+    last_only = [n for n in candidates if n not in exceptional]
+    assert last_only
+    for n in last_only:
+        assert evaluate(form, report.witness(n)) == n
+    for n in range(bound + 1):
+        if n in exceptional or not report.locally_represented(n):
+            assert report.witness(n) is None, n
 
 
 def test_witnesses_verify():
