@@ -69,7 +69,6 @@ from .theorem import (
     StabilityExponent,
     admissible_k,
     bad_primes,
-    eq2_rhs,
     k_constant,
     k_stability_exponent,
     unit_deficient_primes,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import operator
 import sys
 import time
 import warnings
@@ -33,9 +32,8 @@ _value_table = _term_table
 
 
 def _term_values(m: int, a: int, bound: int) -> list[int]:
-    """The distinct values a*P_m(x) <= bound, ascending (x and -x share a
-    value when m = 4)."""
-    return sorted(set(_term_table(m, a, bound)[1]))
+    """The distinct values a*P_m(x) <= bound, ascending."""
+    return _term_table(m, a, bound)[0]
 
 
 def _add_term(reach: int, m: int, a: int, bound: int) -> int:
@@ -105,12 +103,12 @@ class ExceptionalReport:
         out = []
         rem = N
         for i in range(self.form.rank - 1, -1, -1):
-            # the census's bound tables, from the first value <= rem
-            terms, values_desc = _term_table(self.form.m, self.form.coeffs[i],
-                                             self.bound)
-            for v, x in terms[bisect_left(values_desc, -rem, key=operator.neg):]:
+            # the census's bound tables, largest value <= rem first
+            values, x_of = _term_table(self.form.m, self.form.coeffs[i],
+                                       self.bound)
+            for v in values[bisect_right(values, rem) - 1::-1]:
                 if (stages[i] >> (rem - v)) & 1:
-                    out.append(x)
+                    out.append(x_of[v])
                     rem -= v
                     break
             else:  # pragma: no cover - stages guarantee a decomposition

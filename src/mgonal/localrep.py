@@ -17,6 +17,7 @@ ever need rule 3's diagonal decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import is_prime, odd_prime_divisors, unit_square_class_reps
 from .errors import InputError
@@ -93,6 +94,12 @@ def locally_represents_at(form: MgonalForm, N: int, p: int,
     """Decide representability of N by the form over Z_p."""
     if not is_prime(p):
         raise InputError(f"{p!r} is not prime")
+    return _verdict_at(form, N, p, allow_shortcut)
+
+
+def _verdict_at(form: MgonalForm, N: int, p: int,
+                allow_shortcut: bool = True) -> LocalVerdict:
+    """``locally_represents_at`` for a p already known to be prime."""
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
     rule, alpha, beta = _criterion(form, p, allow_shortcut)
@@ -103,6 +110,7 @@ def locally_represents_at(form: MgonalForm, N: int, p: int,
     return LocalVerdict(p=p, represented=represented, rule=rule, criterion_value=c)
 
 
+@lru_cache(maxsize=1024)
 def relevant_primes(form: MgonalForm) -> tuple[int, ...]:
     """{2} union {odd p : p divides some coefficient and p does not divide m-2}.
 
@@ -125,7 +133,7 @@ def locally_represents(form: MgonalForm, N: int) -> LocalRepresentation:
     verdicts = []
     ok = True
     for p in relevant_primes(form):
-        v = locally_represents_at(form, N, p)
+        v = _verdict_at(form, N, p)
         verdicts.append(v)
         ok = ok and v.represented
     return LocalRepresentation(represented=ok, verdicts=tuple(verdicts))

@@ -4,8 +4,7 @@ representation decision by pruned exhaustive search."""
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,26 +128,25 @@ class Witness:
 
 @lru_cache(maxsize=512)
 def _term_table(m: int, a: int, cap: int):
-    """All values a*P_m(x) <= cap as (value, x), largest value first.
+    """The distinct values a*P_m(x) <= cap, ascending, and the map from each
+    to its smallest |x|, positive on ties (the x ``invert_polygonal`` gives),
+    in the same order.
 
-    Ties break positive-x first, then by |x|; the values alone, in the same
-    order, are kept alongside for bisection.
+    Built in closed form, with no sort: P_m(-k) - P_m(k) = (m-4)k and
+    P_m(k+1) - P_m(-k) = 2k+1, so for m >= 5 the values of x = 0, 1, -1, 2,
+    -2, ... strictly ascend.  At m = 4, P_m(-k) = P_m(k), and at m = 3,
+    P_m(-k-1) = P_m(k): there x = 0, 1, 2, ... give every value once.
     """
-    terms = [(0, 0)]
-    k = 1
-    while True:
-        hit = False
-        for x in (k, -k):
-            v = a * polygonal_number(m, x)
-            if v <= cap:
-                terms.append((v, x))
-                hit = True
-        if not hit:
-            break
-        k += 1
-    terms.sort(key=lambda t: (-t[0], t[1] < 0, abs(t[1])))
-    values_desc = [v for v, _ in terms]
-    return terms, values_desc
+    # top^2 > 2cap/(a(m-2)), and the last x below (top, or -top for m >= 5)
+    # has a*P_m(x) >= a(m-2)top^2/2 > cap: every value <= cap comes before it
+    top = math.isqrt(2 * cap // (a * (m - 2))) + 1
+    if m > 4:
+        xs = [x for k in range(top + 1) for x in (k, -k)][1:]
+    else:
+        xs = list(range(top + 1))
+    values = [a * ((m - 2) * (x * x - x) // 2 + x) for x in xs]
+    n = bisect_right(values, cap)
+    return values[:n], dict(zip(values[:n], xs))
 
 
 def represents(form: MgonalForm, N: int) -> Witness | None:
@@ -163,11 +161,13 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     The search is exhaustive over the finite region a_i P_m(x_i) <= N, with
     capacity pruning; coefficients are processed left to right and candidate
     values largest-first (positive x preferred on ties), so the witness
-    returned is reproducible.  The last coordinate is resolved by exact
-    inversion.  At rank >= 3 the cost follows the target's status, not its
-    size alone: a locally obstructed target costs an orbit lookup per prime,
-    a represented one ends at its first witness, and only an exceptional one
-    (locally represented, not represented) exhausts the region.
+    returned is reproducible.  The last coordinate is looked up in a map from
+    each value of the last term to its smallest |x| (positive on ties), so
+    the search ends one level early.  At rank >= 3 the cost follows the
+    target's status, not its size alone: a locally obstructed target costs
+    an orbit lookup per prime, a represented one ends at its first witness,
+    and only an exceptional one (locally represented, not represented)
+    exhausts the region.
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
@@ -175,25 +175,30 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
         from .localrep import locally_represents  # localrep imports this module
         if not locally_represents(form, N):
             return None
-    coeffs = form.coeffs
-    m = form.m
-    n = len(coeffs)
     # one table per power-of-two cap serves every target below it
     cap = 1 << N.bit_length()
+    tables = [_term_table(form.m, a, cap) for a in form.coeffs]
+    get = tables.pop()[1].get  # the last coordinate, by its value
+    if not tables:
+        x = get(N)
+        return None if x is None else Witness((x,))
+    final = len(tables) - 1
 
     def walk(i: int, rem: int):
-        if i == n - 1:
-            if rem % coeffs[i]:
-                return None
-            x = invert_polygonal(m, rem // coeffs[i])
-            return None if x is None else (x,)
-        terms, values_desc = _term_table(m, coeffs[i], cap)
-        # values_desc is descending: skip the values above the remaining capacity
-        lo = bisect_left(values_desc, -rem, key=operator.neg)
-        for v, x in terms[lo:]:
+        values, x_of = tables[i]
+        # the values <= rem, largest first (values[0] = 0 <= rem); a value
+        # that two x share is tried once, since its subtree is the same
+        below = values[bisect_right(values, rem) - 1::-1]
+        if i == final:
+            for v in below:
+                y = get(rem - v)
+                if y is not None:
+                    return x_of[v], y
+            return None
+        for v in below:
             tail = walk(i + 1, rem - v)
             if tail is not None:
-                return (x,) + tail
+                return (x_of[v],) + tail
         return None
 
     sol = walk(0, N)

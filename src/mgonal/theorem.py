@@ -15,7 +15,6 @@ from .quadratic import (
     EQ2_PRIMITIVE,
     EQ2_UNKNOWN,
     Eq2Verdict,
-    eq2_constants,
     eq2_context,
     eq2_stability_depth,
     is_bad_prime,
@@ -106,11 +105,6 @@ def k_constant(form: MgonalForm) -> KConstant:
         factors.append((p, e))
         value *= 4 * p ** e
     return KConstant(value=value - 1, factors=tuple(factors))
-
-
-def eq2_rhs(form: MgonalForm, A: int, B: int, k: int) -> int:
-    """Right-hand side of the reduced equation: 2Aa_1 + Ba_1 + k(m-4)a_1."""
-    return eq2_constants(form, A, B, k)[1]
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,50 @@ def reachable_values(form, bound) -> set[int]:
     return reachable
 
 
+def first_witnesses(form, bound) -> list:
+    """For each N <= bound, the witness of the documented search order for
+    form = N, or None when no integer vector reaches N (no production search
+    or table).
+
+    The order: coordinates left to right; at each, the values a_i P_m(x_i)
+    largest first, positive x before negative on equal values, then smaller
+    |x|; the last coordinate takes the smallest |x| with the remaining value,
+    positive on ties.  A depth-first search in that order returns the first
+    vector whose every prefix can be completed, so taking at each coordinate
+    the first choice whose remainder the later terms reach (set-based
+    reachability) gives the same vector.
+    """
+    m, coeffs = form.m, form.coeffs
+    terms = []
+    for a in coeffs:
+        # P_m(x) >= |x| - 1, so |x| <= bound + 1 covers every value <= bound
+        pairs = [(a * polygonal_number(m, x), x) for x in range(-bound - 1, bound + 2)]
+        terms.append([(v, x) for v, x in pairs if v <= bound])
+    # reach[i]: the sums <= bound of the terms i, i+1, ..., rank-1
+    reach = [{0}]
+    for t in reversed(terms):
+        reach.insert(0, {s + v for s in reach[0] for v, _ in t if s + v <= bound})
+    ordered = [sorted(t, key=lambda vx: (-vx[0], vx[1] < 0, abs(vx[1])))
+               for t in terms[:-1]]
+    last = {}
+    for v, x in sorted(terms[-1], key=lambda vx: (abs(vx[1]), vx[1] < 0)):
+        last.setdefault(v, x)
+    out = []
+    for N in range(bound + 1):
+        if N not in reach[0]:
+            out.append(None)
+            continue
+        rem, x = N, []
+        for i, choices in enumerate(ordered):
+            v, xi = next((v, xi) for v, xi in choices
+                         if v <= rem and rem - v in reach[i + 1])
+            x.append(xi)
+            rem -= v
+        x.append(last[rem])
+        out.append(tuple(x))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tail_sum_states(tail, mod, p):
     """All (s, q, unit) with s = sum a_i x_i and q = sum a_i x_i^2 mod ``mod``

@@ -14,10 +14,10 @@ from mgonal import (
     polygonal_number,
     represents,
 )
-from mgonal.polygonal import quadratic_linear_sums
+from mgonal.polygonal import _term_table, quadratic_linear_sums
 from mgonal.quadratic import eq2_residual
 
-from oracles import reachable_values
+from oracles import first_witnesses, reachable_values
 
 
 def test_polygonal_examples():
@@ -60,6 +60,19 @@ def test_invert_round_trip():
         value = polygonal_number(m, x)
         y = invert_polygonal(m, value)
         assert y is not None and polygonal_number(m, y) == value
+
+
+def test_term_tables_against_enumeration():
+    # every cap, not only powers of two: the census builds at its bound
+    for m in range(3, 13):
+        for a in range(1, 6):
+            # P_m(x) >= |x| - 1, so |x| <= 301 covers every value <= 300
+            every = sorted({a * polygonal_number(m, x) for x in range(-301, 302)})
+            for cap in range(1, 300):
+                values, x_of = _term_table(m, a, cap)
+                assert values == [v for v in every if v <= cap], (m, a, cap)
+                assert list(x_of) == values
+                assert all(x == invert_polygonal(m, v // a) for v, x in x_of.items())
 
 
 def test_form_validation():
@@ -134,6 +147,25 @@ class TestRepresents:
             w = represents(form, N)
             if w is not None:
                 assert evaluate(form, w.x) == N
+
+    def test_witnesses_follow_the_documented_order(self):
+        # every N <= 400, against a reference that shares no table or search
+        # with ``represents``: the witness itself must not drift
+        rng = random.Random(21)
+        unreached = 0
+        for rank in range(1, 6):
+            for m in (3, 4, 5, 8, 16):
+                for _ in range(2):
+                    coeffs = [rng.randint(1, 6) for _ in range(rank)]
+                    coeffs[rng.randrange(rank)] = 1
+                    form = MgonalForm(m, tuple(coeffs))
+                    expected = first_witnesses(form, 400)
+                    assert expected[0] == (0,) * rank
+                    unreached += expected.count(None)
+                    for N, x in enumerate(expected):
+                        w = represents(form, N)
+                        assert (None if w is None else w.x) == x, (form, N)
+        assert unreached > 0
 
     def test_not_represented(self):
         # <2,3>_4: 2x^2 + 3y^2 never equals 1

@@ -11,7 +11,6 @@ from mgonal import (
     admissible_k,
     bad_primes,
     eq2_context,
-    eq2_rhs,
     k_constant,
     k_stability_exponent,
     locally_represents,
@@ -25,6 +24,7 @@ from mgonal.quadratic import (
     EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
     Eq2Verdict,
+    eq2_constants,
     solvable_eq2_at,
 )
 from mgonal.serialize import parse_json_int
@@ -133,9 +133,10 @@ class TestKConstant:
 
 
 def test_eq2_rhs_examples():
-    assert eq2_rhs(MgonalForm(5, (1, 1, 1, 1, 1)), 2, 1, 1) == 6
-    assert eq2_rhs(MgonalForm(8, (3, 1, 1, 1, 1)), 0, 0, 0) == 0
-    assert eq2_rhs(MgonalForm(7, (2, 1, 1, 1, 1)), 1, 2, 3) == 26
+    # R = a_1 (2A + B + k(m-4)), the right-hand side of the reduced equation
+    assert eq2_constants(MgonalForm(5, (1, 1, 1, 1, 1)), 2, 1, 1)[1] == 6
+    assert eq2_constants(MgonalForm(8, (3, 1, 1, 1, 1)), 0, 0, 0)[1] == 0
+    assert eq2_constants(MgonalForm(7, (2, 1, 1, 1, 1)), 1, 2, 3)[1] == 26
 
 
 class TestAdmissibleK:
