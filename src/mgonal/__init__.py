@@ -8,15 +8,12 @@ from .arith import (
     is_prime,
     ord_and_unit,
     ordp,
-    square_class,
 )
 from .census import (
     ExceptionalReport,
-    RegularityVerdict,
     ScalingResult,
     ScalingRow,
     exceptional_set,
-    regularity_check,
     scaling_experiment,
 )
 from .errors import (
@@ -29,7 +26,6 @@ from .errors import (
 from .localrep import (
     LocalRepresentation,
     LocalVerdict,
-    is_locally_universal,
     locally_represents,
     locally_represents_at,
     relevant_primes,
@@ -55,12 +51,9 @@ from .quadratic import (
     eq2_context,
     eq2_residual,
     eq2_stability_depth,
-    gram_from_json,
-    gram_to_json,
     is_isotropic,
     jordan_decompose,
     reduced_quadratic,
-    represents_locally_diagonal,
 )
 from .theorem import (
     AdmissiblePair,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ContractError, InputError
+from .errors import InputError
 
 #: Valuation of 0; compares larger than every finite valuation.
 INFINITY = math.inf
@@ -116,10 +116,6 @@ class PAdicContext:
         if not isinstance(self.precision, int) or self.precision < 1:
             raise InputError(f"precision must be a positive integer, got {self.precision!r}")
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
 
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol of a unit ``a`` modulo an odd prime ``p`` (+1 or -1)."""
@@ -182,26 +178,6 @@ def is_padic_square(x: int, p: int) -> bool:
     if p == 2:
         return u % 8 == 1
     return legendre_symbol(u, p) == 1
-
-
-def square_class(u: int, ctx: PAdicContext) -> int:
-    """Canonical representative of ``u`` modulo unit squares (and p-power squares).
-
-    Odd p: one of {1, r, p, p*r} with r the least positive nonresidue.
-    p = 2: one of {+-1, +-2, +-5, +-10} times 4^k, preserving the valuation;
-    requires precision >= 3 (unit squares are exactly 1 + 8 Z_2).
-    """
-    if u == 0:
-        raise InputError("0 has no square class")
-    p = ctx.p
-    v, w = ord_and_unit(u, p)
-    if p == 2:
-        if ctx.precision < 3:
-            raise ContractError("square classes at p=2 need precision >= 3")
-        rep = {1: 1, 3: -5, 5: 5, 7: -1}[w % 8]
-        return rep * (2 if v % 2 else 1) * 4 ** (v // 2)
-    rep = 1 if legendre_symbol(w, p) == 1 else least_nonresidue(p)
-    return rep * (p if v % 2 else 1)
 
 
 def unit_square_class_reps(p: int) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
 """Exceptional-set censuses: integers locally represented but not represented,
-regularity up to a bound, and the cubic-in-(m-2) scaling experiment."""
+and the cubic-in-(m-2) scaling experiment."""
 
 from __future__ import annotations
 
@@ -173,7 +173,8 @@ def exceptional_set(form: MgonalForm, bound: int, *,
     stage.  Otherwise the last stage is swept, and the candidates it misses
     are the exceptions.  Every represented N is locally represented, so the
     represented count is the locally represented count less the exceptions.
-    ``jobs`` is accepted for compatibility and has no effect.
+    ``jobs`` has no effect; it is kept only because
+    ``benchmarks/workloads.py`` passes it.
     """
     if bound < 1:
         raise InputError(f"bound must be positive, got {bound}")
@@ -234,23 +235,6 @@ def exceptional_set(form: MgonalForm, bound: int, *,
 
 
 @dataclass(frozen=True)
-class RegularityVerdict:
-    regular_up_to_bound: bool
-    exceptional: tuple[int, ...]
-    bound: int
-
-
-def regularity_check(form: MgonalForm, bound: int, *, jobs: int = 1) -> RegularityVerdict:
-    """Regular-up-to-bound wrapper around the exceptional set."""
-    report = exceptional_set(form, bound, jobs=jobs)
-    return RegularityVerdict(
-        regular_up_to_bound=not report.exceptional,
-        exceptional=report.exceptional,
-        bound=bound,
-    )
-
-
-@dataclass(frozen=True)
 class ScalingRow:
     m: int
     bound: int
@@ -293,7 +277,9 @@ def scaling_experiment(coeffs, m_min: int, m_max: int,
     """Scan each gonality m in [m_min, m_max] up to multiplier*(m-2)^3 and
     record the largest exceptional integer; fit log(1 + max_exceptional)
     against log(m-2) by least squares over the rows with nonempty exceptional
-    sets (at least three such rows are required to report a slope)."""
+    sets (at least three such rows are required to report a slope).
+    ``jobs`` has no effect; it is kept only because
+    ``benchmarks/workloads.py`` passes it."""
     if m_min > m_max:
         raise InputError(f"empty gonality range [{m_min}, {m_max}]")
     if m_min < 3:

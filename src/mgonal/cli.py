@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -98,7 +97,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("exceptional", help="exceptional-set census up to a bound")
     form_flags(p)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="no effect")
     common_flags(p)
 
     p = sub.add_parser("kconst", help="bound on the auxiliary parameter k")
@@ -122,7 +120,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--multiplier", type=str, default="20",
                    help="bound multiplier (integer, fraction like 5/2, or decimal)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="no effect")
     common_flags(p)
 
     return parser
@@ -201,7 +198,7 @@ def _cmd_local(args) -> int:
 
 def _cmd_exceptional(args) -> int:
     form = MgonalForm(m=args.m, coeffs=args.coeffs)
-    report = exceptional_set(form, args.bound, jobs=max(1, args.jobs))
+    report = exceptional_set(form, args.bound)
     payload = report.to_json(stable=args.stable_output)
     payload["csv"] = report.to_csv()
     lines = [
@@ -268,8 +265,7 @@ def _cmd_scaling(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise InputError(f"malformed multiplier {args.multiplier!r}")
     result = scaling_experiment(
-        args.coeffs, args.m_min, args.m_max, multiplier,
-        jobs=max(1, args.jobs), progress=True,
+        args.coeffs, args.m_min, args.m_max, multiplier, progress=True,
     )
     payload = result.to_json(stable=args.stable_output)
     payload["csv"] = result.to_csv(stable=args.stable_output)

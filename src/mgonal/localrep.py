@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, odd_prime_divisors, unit_square_class_reps
+from .arith import is_prime, odd_prime_divisors
 from .errors import InputError
 from .polygonal import MgonalForm
 from .quadratic import _diagonal_solvable, _diagonal_solvable_run
@@ -69,7 +69,7 @@ def _rule_for(m: int, p: int) -> int:
     return 1 if (m - 2) % p == 0 else 3
 
 
-def _criterion(form: MgonalForm, p: int, allow_shortcut: bool = True):
+def _criterion(form: MgonalForm, p: int):
     """(rule, alpha, beta): over Z_p the form represents N iff the diagonal
     form represents c = alpha*N + beta, with alpha a p-adic unit; alpha is None
     when the rule represents every N."""
@@ -78,31 +78,25 @@ def _criterion(form: MgonalForm, p: int, allow_shortcut: bool = True):
     if rule in (1, 2):
         return rule, None, None
     if rule == 3:
-        if (
-            allow_shortcut
-            and form.rank >= _MIN_SHORTCUT_RANK
-            and all(ai % p for ai in form.coeffs)
-        ):
+        if form.rank >= _MIN_SHORTCUT_RANK and all(ai % p for ai in form.coeffs):
             return UNIMODULAR_SHORTCUT, None, None
         return rule, 8 * (m - 2), form.coeff_sum * (m - 4) ** 2
     # rule 4, m = 0 (mod 4) so (m-4)/4 is exact
     return rule, (m - 2) // 2, form.coeff_sum * ((m - 4) // 4) ** 2
 
 
-def locally_represents_at(form: MgonalForm, N: int, p: int,
-                          *, allow_shortcut: bool = True) -> LocalVerdict:
+def locally_represents_at(form: MgonalForm, N: int, p: int) -> LocalVerdict:
     """Decide representability of N by the form over Z_p."""
     if not is_prime(p):
         raise InputError(f"{p!r} is not prime")
-    return _verdict_at(form, N, p, allow_shortcut)
+    return _verdict_at(form, N, p)
 
 
-def _verdict_at(form: MgonalForm, N: int, p: int,
-                allow_shortcut: bool = True) -> LocalVerdict:
+def _verdict_at(form: MgonalForm, N: int, p: int) -> LocalVerdict:
     """``locally_represents_at`` for a p already known to be prime."""
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
-    rule, alpha, beta = _criterion(form, p, allow_shortcut)
+    rule, alpha, beta = _criterion(form, p)
     if alpha is None:
         return LocalVerdict(p=p, represented=True, rule=rule)
     c = alpha * N + beta
@@ -150,24 +144,3 @@ def local_flags(form: MgonalForm, bound: int) -> bytes:
             run = _diagonal_solvable_run(form.coeffs, p, alpha, beta, n)
             flags &= int.from_bytes(run, "big")
     return flags.to_bytes(n, "big")
-
-
-def is_locally_universal(form: MgonalForm) -> bool:
-    """True iff the form represents every nonnegative integer over every Z_p.
-
-    Per relevant prime the target criterion value sweeps an affine image of
-    Z_p with unit multiplier, so universality reduces to the diagonal form
-    representing every square class p^delta u; classes with delta >= 2
-    follow from delta - 2 by scaling, so delta in {0, 1} suffices.
-    """
-    if form.rank < _MIN_SHORTCUT_RANK:
-        raise InputError("local universality check needs rank >= 3")
-    for p in relevant_primes(form):
-        rule = _rule_for(form.m, p)
-        if rule in (1, 2):
-            continue
-        for delta in (0, 1):
-            for u in unit_square_class_reps(p):
-                if not _diagonal_solvable(form.coeffs, u * p ** delta, p):
-                    return False
-    return True

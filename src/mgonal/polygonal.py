@@ -203,14 +203,3 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
 
     sol = walk(0, N)
     return Witness(sol) if sol is not None else None
-
-
-def quadratic_linear_sums(form: MgonalForm, x) -> tuple[int, int]:
-    """(sum a_i x_i^2, sum a_i x_i) for the tuple ``x`` - the two invariants the
-    representation system constrains."""
-    x = tuple(x)
-    if len(x) != form.rank:
-        raise InputError("length mismatch")
-    s2 = sum(a * xi * xi for a, xi in zip(form.coeffs, x))
-    s1 = sum(a * xi for a, xi in zip(form.coeffs, x))
-    return s2, s1

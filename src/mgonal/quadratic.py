@@ -50,14 +50,6 @@ def validate_gram(entries) -> GramMatrix:
     return g
 
 
-def gram_to_json(g: GramMatrix) -> list[list[int]]:
-    return [list(row) for row in g]
-
-
-def gram_from_json(data) -> GramMatrix:
-    return validate_gram(data)
-
-
 def bareiss_determinant(matrix) -> int:
     """Exact integer determinant by fraction-free elimination."""
     m = [list(row) for row in matrix]
@@ -131,19 +123,6 @@ def reduced_quadratic(form: MgonalForm) -> ReducedQuadratic:
 # Local representation by diagonal forms
 # ---------------------------------------------------------------------------
 
-def diagonal_decision_depth(coeffs, c: int, p: int) -> int:
-    """Congruence depth at which solvability of sum a_i x_i^2 = c stabilizes."""
-    v = 0 if c == 0 else ordp(c, p)
-    e = 1 if p == 2 else 0
-    beta = max(ordp(a, p) for a in coeffs)
-    return int(v + 2 * e + 2 * beta + 3)
-
-
-def diagonal_context(coeffs, c: int, p: int) -> PAdicContext:
-    """Context with exactly the precision the diagonal decision requires."""
-    return PAdicContext(p, diagonal_decision_depth(coeffs, c, p))
-
-
 # Values of Q(x) = sum a_i x_i^2 over Z_p (e = ord_p 2, b_i = ord_p a_i,
 # beta = max b_i).  Scaling x by a unit multiplies Q by a unit square, so the
 # nonzero values form orbits (v, j): the p^v u with u in unit square class j.
@@ -214,6 +193,7 @@ def _unit_reachable(coeffs: tuple[int, ...], p: int) -> tuple[int, frozenset]:
 
 @lru_cache(maxsize=65536)
 def _diagonal_solvable(coeffs: tuple[int, ...], c: int, p: int) -> bool:
+    """True iff sum a_i x_i^2 = c is solvable over Z_p (p prime, a_i nonzero)."""
     if c == 0:
         return True
     v0, orbits = _unit_reachable(coeffs, p)
@@ -249,26 +229,6 @@ def _diagonal_solvable_run(coeffs: tuple[int, ...], p: int, alpha: int, beta: in
         return out
 
     return run(0, beta, n)
-
-
-def represents_locally_diagonal(coeffs, c: int, ctx: PAdicContext) -> bool:
-    """True iff sum a_i x_i^2 = c is solvable over the p-adic integers.
-
-    Decided on the unit-square orbits of the form's values
-    (``_unit_reachable``).  The context must carry at least the
-    stabilization depth for the instance.
-    """
-    coeffs = tuple(coeffs)
-    if not coeffs:
-        raise InputError("coefficient tuple must be nonempty")
-    if any(not isinstance(a, int) or a == 0 for a in coeffs):
-        raise InputError("coefficients must be nonzero integers")
-    need = diagonal_decision_depth(coeffs, c, ctx.p)
-    if ctx.precision < need:
-        raise ContractError(
-            f"precision {ctx.precision} below the decision depth {need} for this instance"
-        )
-    return _diagonal_solvable(coeffs, c, ctx.p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,3 @@ _I64_MAX = 2 ** 63 - 1
 def json_int(v: int) -> int | str:
     """Integers stay integers while they fit in 64 bits, else decimal strings."""
     return v if -_I64_MAX <= v <= _I64_MAX else str(v)
-
-
-def parse_json_int(v) -> int:
-    if isinstance(v, bool):
-        raise ValueError("expected an integer, got a boolean")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        return int(v)
-    raise ValueError(f"expected an integer or decimal string, got {v!r}")

@@ -12,7 +12,6 @@ from mgonal import (
     evaluate,
     exceptional_set,
     locally_represents,
-    regularity_check,
     represents,
     scaling_experiment,
 )
@@ -235,14 +234,6 @@ def test_report_csv():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "N,A,B,evidence"
     assert len(lines) == 1 + len(report.exceptional)
-
-
-def test_regularity_check_wraps():
-    form = MgonalForm(5, (1, 1, 1, 1, 1))
-    verdict = regularity_check(form, 800)
-    assert verdict.regular_up_to_bound and verdict.exceptional == ()
-    other = regularity_check(MgonalForm(6, (1, 2, 3, 4, 5)), 800)
-    assert other.regular_up_to_bound == (not other.exceptional)
 
 
 class TestScaling:

@@ -87,7 +87,7 @@ def test_local_at_a_large_prime(capsys):
 
 def test_exceptional_stable_bytes(capsys):
     args = ("exceptional", "--m", "5", "--coeffs", "1,1,1,1,1", "--bound",
-            "500", "--jobs", "1", "--format", "json", "--stable-output")
+            "500", "--format", "json", "--stable-output")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -142,6 +142,17 @@ def test_usage_errors(capsys):
                        "--n", "3", "--prime", "7")
     assert code == 2
     assert "--prime" in err or "unrecognized" in err
+
+
+def test_jobs_flag_is_gone(capsys):
+    for argv in (("exceptional", "--m", "5", "--coeffs", "1,1,1,1,1",
+                  "--bound", "50"),
+                 ("scaling", "--coeffs", "1,1,1,1,1", "--m-min", "5",
+                  "--m-max", "6")):
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: mgonal")
+        assert "--jobs" in err
 
 
 def test_unknown_flag_suggestion(capsys):

@@ -69,6 +69,8 @@ def test_hexagonal_plane_at_two():
 def test_singular_rejected():
     with pytest.raises(InputError):
         jordan_decompose(((1, 1), (1, 1)), PAdicContext(3, 12))
+    with pytest.raises(InputError, match="symmetric"):  # so is an asymmetric Gram
+        jordan_decompose(((1, 2), (3, 1)), PAdicContext(3, 12))
 
 
 def test_precision_precondition():

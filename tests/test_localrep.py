@@ -6,7 +6,6 @@ import pytest
 from mgonal import (
     InputError,
     MgonalForm,
-    is_locally_universal,
     locally_represents,
     locally_represents_at,
     relevant_primes,
@@ -14,6 +13,7 @@ from mgonal import (
 )
 from mgonal.arith import legendre_symbol
 from mgonal.localrep import UNIMODULAR_SHORTCUT
+from mgonal.quadratic import _diagonal_solvable
 
 from oracles import (
     UNDECIDED,
@@ -79,28 +79,6 @@ def test_verdict_json():
     assert data["p"] == 3 and data["represented"] is True and data["rule"] == 1
 
 
-def test_locally_universal_examples():
-    assert is_locally_universal(MgonalForm(5, (1, 1, 1, 1, 1)))
-    assert is_locally_universal(MgonalForm(4, (1, 1, 1, 1, 1)))
-    # <1,1,1,1,25>_6 fails at 5? m-2 = 4, so p=5 uses the diagonal criterion
-    assert is_locally_universal(MgonalForm(6, (1, 1, 1, 1, 25)))
-
-
-def test_locally_universal_counterexample():
-    # <1,8,16,24,32>_8: rule 4 at p=2; targets needing small odd parts fail
-    form = MgonalForm(8, (1, 8, 16, 24, 32))
-    agg = is_locally_universal(form)
-    # independent: N=2 gives criterion value 3*2 + 81 = 87 = sum a_i x_i^2?
-    # the form x^2 + 8(...) represents 87 iff x^2 = 87 - 8t; 87 is not a
-    # square mod 8 shifted: quick oracle below settles the verdict
-    verdict = local_rep_oracle(form, 2, 2)
-    if verdict is not UNDECIDED:
-        assert locally_represents_at(form, 2, 2).represented == verdict
-        assert agg == all(
-            locally_represents_at(form, N, 2).represented for N in range(64)
-        )
-
-
 def test_oracle_equivalence_random():
     rng = random.Random(51)
     done = 0
@@ -124,9 +102,24 @@ _SPOT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
 
 
+def _rule_three_value(form, N):
+    """Rule 3's criterion value c = 8(m-2)N + S(m-4)^2, S the coefficient sum."""
+    return 8 * (form.m - 2) * N + form.coeff_sum * (form.m - 4) ** 2
+
+
+def _ord(x, p):
+    """ord_p(x), taken as 0 at x = 0."""
+    v = 0
+    while x and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def test_unimodular_shortcut_spot_check():
     """50 forms, 20 primes outside the relevant set, 50 targets each: the
-    shortcut-free decision always says represented."""
+    diagonal decision of rule 3, which the shortcut skips, always says
+    represented."""
     rng = random.Random(52)
     for _ in range(50):
         n = rng.randint(5, 7)
@@ -137,18 +130,18 @@ def test_unimodular_shortcut_spot_check():
         rel = set(relevant_primes(form))
         outside = [p for p in _SPOT_PRIMES if p not in rel][:20]
         for p in outside:
+            if (m - 2) % p == 0:  # rule 1: no diagonal decision
+                continue
             for _ in range(50):
                 N = rng.randint(0, 10**6)
-                v = locally_represents_at(form, N, p, allow_shortcut=False)
-                assert v.represented, (form.describe(), N, p)
+                c = _rule_three_value(form, N)
+                assert _diagonal_solvable(form.coeffs, c, p), (form.describe(), N, p)
 
 
 def test_rule_three_shift_consistency():
-    """Rule-3 verdicts are invariant under target shifts by p^L past the
-    diagonal decision depth of the criterion value."""
+    """Rule-3 verdicts are invariant under target shifts by p^(L+1), with
+    L = ord_p(c) + 2 max ord_p(a_i) + 3 for the criterion value c."""
     rng = random.Random(54)
-    from mgonal.quadratic import diagonal_decision_depth
-
     done = 0
     while done < 40:
         n = rng.randint(3, 6)
@@ -160,14 +153,13 @@ def test_rule_three_shift_consistency():
         if (m - 2) % p == 0:
             continue
         N = rng.randint(0, 400)
-        S = form.coeff_sum
-        c = 8 * (m - 2) * N + S * (m - 4) ** 2
-        depth = diagonal_decision_depth(form.coeffs, c, p)
-        base = locally_represents_at(form, N, p, allow_shortcut=False)
+        c = _rule_three_value(form, N)
+        depth = _ord(c, p) + 2 * max(_ord(a, p) for a in form.coeffs) + 3
+        base = _diagonal_solvable(form.coeffs, c, p)
         for j in (1, 2, 5):
-            shifted = N + j * p ** (depth + 1)
-            v = locally_represents_at(form, shifted, p, allow_shortcut=False)
-            assert v.represented == base.represented, (form.describe(), N, p, j)
+            shifted = _rule_three_value(form, N + j * p ** (depth + 1))
+            assert _diagonal_solvable(form.coeffs, shifted, p) == base, (
+                form.describe(), N, p, j)
         done += 1
 
 

@@ -14,12 +14,9 @@ from mgonal import (
     bareiss_determinant,
     eq2_context,
     eq2_residual,
-    gram_from_json,
-    gram_to_json,
     is_isotropic,
     ordp,
     reduced_quadratic,
-    represents_locally_diagonal,
 )
 import mgonal.quadratic as quadratic
 from mgonal.arith import PAdicContext, least_nonresidue, legendre_symbol
@@ -33,8 +30,6 @@ from mgonal.quadratic import (
     _pair_congruence_solvable,
     _pair_states,
     _unit_reachable,
-    diagonal_context,
-    diagonal_decision_depth,
     eq2_constants,
     solvable_eq2_at,
 )
@@ -99,36 +94,19 @@ class TestReducedQuadratic:
                 expected *= a
             assert rq.det == expected
 
-    def test_gram_json_round_trip(self):
-        rq = reduced_quadratic(MgonalForm(5, (1, 2, 1, 1, 1)))
-        assert gram_from_json(gram_to_json(rq.gram)) == rq.gram
-        with pytest.raises(InputError):
-            gram_from_json([[1, 2], [3, 1]])
-
 
 class TestDiagonalLocal:
     def test_three_squares_miss_seven(self):
-        assert not represents_locally_diagonal(
-            (1, 1, 1), 7, diagonal_context((1, 1, 1), 7, 2)
-        )
+        assert not _diagonal_solvable((1, 1, 1), 7, 2)
 
     def test_four_squares_cover_seven(self):
-        assert represents_locally_diagonal(
-            (1, 1, 1, 1), 7, diagonal_context((1, 1, 1, 1), 7, 2)
-        )
+        assert _diagonal_solvable((1, 1, 1, 1), 7, 2)
 
     def test_two_squares_miss_three_at_three(self):
-        assert not represents_locally_diagonal(
-            (1, 1), 3, diagonal_context((1, 1), 3, 3)
-        )
+        assert not _diagonal_solvable((1, 1), 3, 3)
 
     def test_zero_always_represented(self):
-        assert represents_locally_diagonal((3, 5), 0, PAdicContext(5, 8))
-
-    def test_insufficient_precision(self):
-        need = diagonal_decision_depth((1, 1), 3, 3)
-        with pytest.raises(ContractError):
-            represents_locally_diagonal((1, 1), 3, PAdicContext(3, need - 1))
+        assert _diagonal_solvable((3, 5), 0, 5)
 
     def test_oracle_agreement(self):
         rng = random.Random(23)
@@ -141,10 +119,7 @@ class TestDiagonalLocal:
             verdict = diagonal_oracle(coeffs, c, p)
             if verdict is UNDECIDED:
                 continue
-            ctx = diagonal_context(coeffs, c, p)
-            assert represents_locally_diagonal(coeffs, c, ctx) == verdict, (
-                coeffs, c, p
-            )
+            assert _diagonal_solvable(coeffs, c, p) == verdict, (coeffs, c, p)
             done += 1
 
     def test_residue_oracle_matches_the_deepening_oracle(self):

@@ -27,7 +27,6 @@ from mgonal.quadratic import (
     eq2_constants,
     solvable_eq2_at,
 )
-from mgonal.serialize import parse_json_int
 from mgonal.theorem import DYADIC, ODD_BAD, ODD_GOOD
 
 
@@ -129,7 +128,7 @@ class TestKConstant:
         form = MgonalForm(5, (32, 27, 25, 7, 1))
         kc = k_constant(form)
         payload = json.loads(json.dumps(kc.to_json()))
-        assert parse_json_int(payload["value"]) == kc.value
+        assert int(payload["value"]) == kc.value
 
 
 def test_eq2_rhs_examples():
