@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
-from operator import add
+from operator import add, mul
 
 from .arith import (
     INFINITY,
@@ -310,22 +310,18 @@ def _transpose(m):
 
 
 def _matmul(a, b, mod):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            out[i][j] = sum(a[i][t] * b[t][j] for t in range(k)) % mod
-    return out
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
 def _gram_of(A, vectors, mod):
+    """v_i^T A v_j mod ``mod``; A is symmetric, so each pair is taken once."""
+    images = [[sum(map(mul, row, v)) for row in A] for v in vectors]
     cols = len(vectors)
     out = [[0] * cols for _ in range(cols)]
-    n = len(A)
     for i in range(cols):
-        Avi = [sum(A[r][t] * vectors[i][t] for t in range(n)) for r in range(n)]
-        for j in range(cols):
-            out[i][j] = sum(Avi[t] * vectors[j][t] for t in range(n)) % mod
+        for j in range(i, cols):
+            out[i][j] = out[j][i] = sum(map(mul, images[i], vectors[j])) % mod
     return out
 
 
@@ -673,8 +669,108 @@ def _refine_eq2(c, R, scale, a1, tail, y, i, p, prec):
     raise ContractError("auxiliary equation refinement did not converge")  # pragma: no cover
 
 
-def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
-    """Certified congruence search for solutions x = p^sigma y, y primitive.
+def _eq2_roots(c, R, eff, a1, tail, p):
+    """The y mod p where the reduced equation's value is 0 mod p, in
+    lexicographic order, at an odd prime p.
+
+    Once the first n-1 coordinates are fixed (lin0 = c - eff*s0 and q0 from
+    their sums), the value is a quadratic in the last one z:
+    a z^2 + b z + k with a = eff^2 t_n (t_n + a_1), b = -2 lin0 eff t_n and
+    k = lin0^2 + eff^2 a_1 q0 - R.  Its roots are yielded in ascending z,
+    with a table of square roots mod p; when a = b = 0 every z is a root if
+    k is and none is otherwise.
+    """
+    n = len(tail)
+    eff %= p
+    if eff == 0:  # the value is c^2 - R mod p at every y
+        if (c * c - R) % p == 0:
+            yield from product(range(p), repeat=n)
+        return
+    *head, tn = tail
+    a = eff * eff * tn * (tn + a1) % p
+    if a:
+        inv2a = pow(2 * a, -1, p)
+        sqrt = [-1] * p
+        for r in range(p // 2 + 1):
+            sqrt[r * r % p] = r
+    for prefix in product(range(p), repeat=n - 1):
+        s0 = q0 = 0
+        for t, yi in zip(head, prefix):
+            ty = t * yi
+            s0 += ty
+            q0 += ty * yi
+        lin0 = c - eff * s0
+        b = -2 * lin0 * eff * tn % p
+        k = (lin0 * lin0 + eff * eff * a1 * q0 - R) % p
+        if a:
+            r = sqrt[(b * b - 4 * a * k) % p]
+            if r < 0:
+                continue
+            z1, z2 = sorted(((-b - r) * inv2a % p, (-b + r) * inv2a % p))
+            roots = (z1,) if r == 0 else (z1, z2)
+        elif b:
+            roots = (-k * pow(b, -1, p) % p,)
+        elif k:
+            continue
+        else:
+            roots = range(p)
+        for z in roots:
+            yield (*prefix, z)
+
+
+def _certify(y, val, lin, lead, eff_a1, p):
+    """(y, i) when the node y certifies, else None.
+
+    With t the smallest valuation of a nonzero derivative (i its first
+    coordinate), y certifies when p^(2t+1) divides the value; an exact zero
+    with every derivative 0 certifies as (y, None).  A nonzero value of
+    valuation v is first tested against p^((v+1)//2): unless some
+    derivative is nonzero modulo it, t is too large, and the node is
+    rejected before any derivative valuation is taken."""
+    derivs = [lt * (eff_a1 * yi - lin) for lt, yi in zip(lead, y)]
+    if val:
+        cut = p ** ((_ord(val, p) + 1) // 2)
+        if not any(d % cut for d in derivs):
+            return None
+    best = None
+    for i, d in enumerate(derivs):
+        if d:
+            o = _ord(d, p)
+            if best is None or o < best:
+                best, lift = o, i
+    return (y, None if best is None else lift)
+
+
+def _stratum_level_one(c, R, eff, a1, tail, p):
+    """Level 1 of the stratum search (see ``_stratum_search``) for
+    x = p^sigma y, eff = scale * p^sigma: the nonzero roots y mod p of the
+    value, in lexicographic order, from ``_eq2_roots`` at an odd p and from
+    the 2^n residues at p = 2.  Returns (found, survivors): the first
+    certified root as (y, lift coordinate or None), or None and the roots
+    whose value is 0 mod p^2."""
+    lead = [2 * eff * t for t in tail]
+    eff_a1 = eff * a1
+    survivors = []
+    nodes = product(range(2), repeat=len(tail)) if p == 2 else \
+        _eq2_roots(c, R, eff, a1, tail, p)
+    for y in nodes:
+        if not any(y):
+            continue
+        val, lin = _eq2_terms(c, R, eff, a1, tail, y)
+        if val % p:  # only at p = 2, which yields every residue
+            continue
+        found = _certify(y, val, lin, lead, eff_a1, p)
+        if found is not None:
+            return found, []
+        if val % (p * p) == 0:
+            survivors.append(y)
+    return None, survivors
+
+
+def _stratum_search(c, R, eff, a1, tail, p, survivors, depth):
+    """Certified congruence search for solutions x = p^sigma y, y primitive,
+    eff = scale * p^sigma, from the level-1 survivors of
+    ``_stratum_level_one``.
 
     Returns ((witness_y, lift_coordinate_or_None), budget_exhausted_flag);
     the witness slot is None when nothing certified within the depth.
@@ -682,84 +778,54 @@ def _stratum_search(c, R, scale, a1, tail, p, sigma, depth):
     Level 1 holds the nonzero residues y mod p with value = 0 mod p.  Level
     l+1 holds the p^n children y + p^l d (d mod p) of each level-l node
     whose value is 0 mod p^(l+1), cut after ``EQ2_NODE_BUDGET`` nodes, which
-    sets the flag.  A node certifies when its smallest derivative valuation
-    t (the first coordinate on ties) has p^(2t+1) dividing the value, or
-    when it is an exact zero with every derivative 0.
+    sets the flag.  A node certifies as ``_certify`` says.  Survivors have
+    gradient = 0 mod p (a unit gradient would have certified), so a node's
+    children all satisfy the next congruence level or none do: only nodes
+    whose value passes it are kept.
 
-    Nodes are generated and checked in lexicographic order, so the first
-    certified node is returned without building the rest of its level; the
-    flag still comes from the level's full size.  Each node's sums s and q
-    are taken once, and its value and every derivative come from them.
+    Children are generated lazily and checked in lexicographic order, so the
+    first certified node is returned without building the rest of its
+    level; the flag still comes from the level's full size.  Each node's
+    sums s and q are taken once, and its value and every derivative come
+    from them.
     """
     n = len(tail)
-    width = p ** n
-    if width > EQ2_ROOT_CEILING:
-        raise ResourceError(
-            f"stratum root enumeration of {p}^{n} residues exceeds the search budget"
-        )
-    eff = scale * p ** sigma
     lead = [2 * eff * t for t in tail]
     eff_a1 = eff * a1
-
-    def certified(y, val, lin):
-        best = None
-        for i, (lt, yi) in enumerate(zip(lead, y)):
-            d = lt * (eff_a1 * yi - lin)
-            if d:
-                o = _ord(d, p)
-                if best is None or o < best[0]:
-                    best = (o, i)
-        if best is None:
-            # exact critical zero: already an exact solution
-            return (y, None) if val == 0 else None
-        return (y, best[1]) if val % p ** (2 * best[0] + 1) == 0 else None
-
-    # survivors have gradient = 0 mod p (a unit gradient would have
-    # certified), so a node's children all satisfy the next congruence level
-    # or none do: only nodes whose value passes it are kept
-    survivors = []
-    for y in product(range(p), repeat=n):
-        if any(y):
-            val, lin = _eq2_terms(c, R, eff, a1, tail, y)
-            if val % p == 0:
-                found = certified(y, val, lin)
-                if found is not None:
-                    return found, False
-                if val % (p * p) == 0:
-                    survivors.append(y)
     budget_hit = False
     for level in range(1, depth):
+        if not survivors:
+            break
         plevel = p ** level
-        budget_hit = budget_hit or len(survivors) * width > EQ2_NODE_BUDGET
-        steps = [tuple(plevel * d for d in delta)
-                 for delta in product(range(p), repeat=n)]
+        budget_hit = budget_hit or len(survivors) * p ** n > EQ2_NODE_BUDGET
+        steps = range(0, plevel * p, plevel)
         parents, survivors = survivors, []
         children = islice(
-            (tuple(map(add, y, step)) for y in parents for step in steps),
+            (tuple(map(add, y, step)) for y in parents
+             for step in product(steps, repeat=n)),
             EQ2_NODE_BUDGET,
         )
         next_mod = plevel * p * p
         for y in children:
             val, lin = _eq2_terms(c, R, eff, a1, tail, y)
-            found = certified(y, val, lin)
+            found = _certify(y, val, lin, lead, eff_a1, p)
             if found is not None:
                 return found, budget_hit
             if val % next_mod == 0:
                 survivors.append(y)
-        if not survivors:
-            break
     return None, budget_hit
 
 
 @lru_cache(maxsize=1024)
-def _pair_states(tail: tuple[int, ...], mod: int, g: int) -> tuple[int, ...]:
-    """Entry s is the bitmask of the values g*q mod ``mod`` over the tail
-    vectors x with (sum a_i x_i, sum a_i x_i^2) = (s, q) mod ``mod``.
+def _pair_states(tail: tuple[int, ...], mod: int) -> tuple[int, ...]:
+    """Entry s is the bitmask of the q mod ``mod`` with (s, q) =
+    (sum a_i x_i, sum a_i x_i^2) mod ``mod`` for some tail vector x.
 
-    It depends on the form only through the tail, so one build serves every
-    (c, R, k) at a prime.  With M = ``mod``, all states live in one integer
-    of M^2 bits, bit s*M + q set when (s, q) is reachable: row s is the mask
-    of entry s.  A coordinate's move (ds, dq) rotates every row by dq (two
+    It depends on the form only through the tail and on no multiplier of q,
+    so one build, cached per (tail, M), serves every (c, R, k) and every
+    scale at a prime.  With M = ``mod``, all states live in one integer of
+    M^2 bits, bit s*M + q set when (s, q) is reachable: row s is the mask of
+    entry s.  A coordinate's move (ds, dq) rotates every row by dq (two
     shifts under repeated row masks) and then the rows by ds (two shifts of
     ds*M bits).  Moves are grouped by dq, so a coefficient costs one row
     rotation per distinct dq plus one row shift per move: at most 2M
@@ -772,7 +838,7 @@ def _pair_states(tail: tuple[int, ...], mod: int, g: int) -> tuple[int, ...]:
     for t in tail:
         by_dq: dict[int, set[int]] = {}
         for y in range(mod):
-            by_dq.setdefault(g * t * y * y % mod, set()).add(t * y % mod)
+            by_dq.setdefault(t * y * y % mod, set()).add(t * y % mod)
         nxt = 0
         for dq, shifts in by_dq.items():
             low = rows * ((1 << (mod - dq)) - 1)  # bits q < M - dq of each row
@@ -787,8 +853,8 @@ def _congruence_depth(p: int, precision: int) -> int | None:
     """Exponent l2 of the pair-congruence modulus: the largest e with
     p^(3e) <= EQ2_CONGRUENCE_CEILING, capped by the precision.  None when even
     p^3 exceeds the ceiling.  The ceiling bounds the cube because a
-    ``_pair_states`` build mod M = p^l2 takes at most 2M operations on
-    M^2-bit integers per tail coefficient."""
+    ``_pair_states`` build mod M = p^l2, cached per (tail, M), takes at most
+    2M operations on M^2-bit integers per tail coefficient."""
     if p ** 3 > EQ2_CONGRUENCE_CEILING:
         return None
     e = 1
@@ -803,13 +869,24 @@ def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
 
     Every p-adic solution reduces to a solution of this congruence (the zero
     solution to s = q = 0), so False proves the equation unsolvable.
+
+    Row s of ``_pair_states`` needs a reachable q with g*q = t, where
+    g = scale^2 a_1 and t = R - (c - scale*s)^2 mod M.  With g = p^j u
+    (u a unit), that asks p^j | t and q = u^-1 t/p^j mod M/p^j: the p^j
+    bits of the row spaced M/p^j apart from there.  g = 0 mod M takes
+    j = depth, so any reachable q serves when t = 0.
     """
     mod = p ** depth
-    masks = _pair_states(tuple(tail), mod, scale * scale * a1 % mod)
-    return any(
-        bits >> ((R - (c - scale * s) ** 2) % mod) & 1
-        for s, bits in enumerate(masks)
-    )
+    g = scale * scale * a1 % mod
+    pj = p ** _ord(g, p) if g else mod
+    sub = mod // pj
+    inv = pow(g // pj, -1, sub)
+    lanes = ((1 << mod) - 1) // ((1 << sub) - 1)  # bits 0, sub, 2*sub, ...
+    for s, bits in enumerate(_pair_states(tuple(tail), mod)):
+        t = (R - (c - scale * s) ** 2) % mod
+        if t % pj == 0 and bits >> (t // pj * inv % sub) & lanes:
+            return True
+    return False
 
 
 def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
@@ -820,15 +897,18 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1,
 
     reporting primitivity of (x_2,...,x_n) and the smallest min-coordinate
-    valuation found.  First the exhaustive pair congruence mod p^l2 (l2 from
-    ``_congruence_depth``) is tried: when it has no solution the equation
-    is unsolvable, and no stratum is searched.  Otherwise strata
-    sigma = 0, 1, ..., ceil(ord_p(a_1)/2)+1 are scanned by certified
-    congruence search; when none certifies and x = 0 is no solution, the
-    instance is reported unsolvable-within-strata.  At p^3 above
-    ``EQ2_CONGRUENCE_CEILING`` the strata come first (raising ``ResourceError``
-    past ``EQ2_ROOT_CEILING``), and the disproof is the congruence mod p,
-    decided by evaluating every residue.
+    valuation found.  Strata sigma = 0, 1, ..., ceil(ord_p(a_1)/2)+1 are
+    scanned by certified congruence search (``_stratum_level_one``, then
+    ``_stratum_search``).  A certified root at level 1 of stratum 0 is a
+    p-adic solution and settles the call at once.  Otherwise the exhaustive
+    pair congruence mod p^l2 (l2 from ``_congruence_depth``) is tried: when
+    it has no solution the equation is unsolvable, and no deeper level or
+    stratum is searched.  When no stratum certifies and x = 0 is no
+    solution, the instance is reported unsolvable-within-strata.  Past
+    ``EQ2_ROOT_CEILING`` residues p^n the congruence alone decides, and
+    ``ResourceError`` is raised when it has a solution.  At p^3 above
+    ``EQ2_CONGRUENCE_CEILING`` the disproof is the congruence mod p, decided
+    from its roots after the strata.
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
@@ -845,19 +925,33 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     c, R = eq2_constants(form, A, B, k)
     depth = ctx.precision
     l2 = _congruence_depth(p, depth)
-    if l2 is not None and not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
-        return Eq2Verdict(
-            status=EQ2_UNSOLVABLE, min_order=None, witness=None,
-            precision=depth, budget_exhausted=False,
-        )
+    unsolvable = Eq2Verdict(
+        status=EQ2_UNSOLVABLE, min_order=None, witness=None,
+        precision=depth, budget_exhausted=False,
+    )
+    n = len(tail)
+    if p ** n > EQ2_ROOT_CEILING:
+        if l2 is None or _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
+            raise ResourceError(
+                f"stratum root enumeration of {p}^{n} residues exceeds the search budget"
+            )
+        return unsolvable
+    # a certified level-1 root is a solution, which no congruence refutes
+    found, survivors = _stratum_level_one(c, R, scale, a1, tail, p)
+    if found is None and l2 is not None and \
+            not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
+        return unsolvable
     cap = (int(ordp(a1, p)) + 1) // 2 + 1
     budget_hit = False
     for sigma in range(cap + 1):
-        found, hit = _stratum_search(c, R, scale, a1, tail, p, sigma, depth)
-        budget_hit = budget_hit or hit
+        eff = scale * p ** sigma
+        if sigma:
+            found, survivors = _stratum_level_one(c, R, eff, a1, tail, p)
+        if found is None:
+            found, hit = _stratum_search(c, R, eff, a1, tail, p, survivors, depth)
+            budget_hit = budget_hit or hit
         if found is not None:
             y, i = found
-            eff = scale * p ** sigma
             refined = _refine_eq2(c, R, eff, a1, tail, y, i, p, depth) \
                 if i is not None else tuple(yi % p ** depth for yi in y)
             modw = p ** depth
@@ -873,12 +967,8 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             witness=(0,) * (form.rank - 1), precision=depth,
             budget_exhausted=budget_hit,
         )
-    # with no l2 the disproof is the congruence mod p; the strata above
-    # already enumerated p^n <= EQ2_ROOT_CEILING residues, so do it by hand
-    solvable = l2 is not None or any(
-        _eq2_terms(c, R, scale, a1, tail, y)[0] % p == 0
-        for y in product(range(p), repeat=len(tail))
-    )
+    # with no l2 the disproof is the congruence mod p
+    solvable = l2 is not None or next(_eq2_roots(c, R, scale, a1, tail, p), None) is not None
     return Eq2Verdict(
         status=EQ2_UNKNOWN if solvable else EQ2_UNSOLVABLE, min_order=None,
         witness=None, precision=depth, budget_exhausted=budget_hit,

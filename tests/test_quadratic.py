@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -299,9 +300,12 @@ class TestEq2:
         )
 
     def test_pair_congruence_matches_the_oracle(self):
-        """Seeded cases over ranks 3-6, p in {2, 3, 5, 7, 11} and scale in
-        {1, p}: the cached disproof equals the set enumeration mod p^l2, an
-        unsolvable verdict has no solution there, and witnesses verify."""
+        """Seeded cases over ranks 3-6, p in {2, 3, 5, 7, 11}, scale in
+        {1, p, p^2} and a_1 sometimes multiplied by p: the cached disproof
+        equals the set enumeration mod p^l2, an unsolvable verdict has no
+        solution there, and witnesses verify.  The multiplier
+        g = scale^2 a_1 mod p^l2 of q is met as a unit, as p^j u with j >= 1
+        and as 0."""
         rng = random.Random(2718)
         pool = (1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 18, 27)
         forms = []
@@ -311,15 +315,21 @@ class TestEq2:
                 coeffs[rng.randrange(rank)] = 1
                 forms.append(MgonalForm(rng.randint(3, 20), tuple(coeffs)))
         statuses = set()
-        for form in forms:
-            a1, tail = form.coeffs[0], form.coeffs[1:]
+        multipliers = set()
+        for base in forms:
             for _ in range(20):
                 p = rng.choice((2, 3, 5, 7, 11))
-                scale = rng.choice((1, p))
+                scale = rng.choice((1, p, p * p))
+                form = base
+                if rng.random() < 0.5 and gcd(*base.coeffs[1:]) % p:  # stays primitive
+                    form = MgonalForm(base.m, (base.coeffs[0] * p,) + base.coeffs[1:])
+                a1, tail = form.coeffs[0], form.coeffs[1:]
                 A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), \
                     rng.randint(0, 30)
                 ctx = eq2_context(form, p)
                 l2 = _congruence_depth(p, ctx.precision)
+                g = scale * scale * a1 % p ** l2
+                multipliers.add("zero" if g == 0 else "unit" if g % p else "p^j u")
                 c, R = eq2_constants(form, A, B, k)
                 expected = pair_congruence_oracle(c, R, scale, a1, tail, p ** l2)
                 case = (form.describe(), A, B, k, p, scale)
@@ -333,28 +343,22 @@ class TestEq2:
                     res = eq2_residual(form, A, B, k, v.witness, scale=scale)
                     assert res % p ** v.precision == 0, case
         assert {EQ2_PRIMITIVE, EQ2_UNSOLVABLE} <= statuses
+        assert multipliers == {"zero", "unit", "p^j u"}
 
     def test_pair_states_match_the_oracle(self):
-        """Entry s of the packed state bitset is exactly the set of g*q mod M
-        over the (s, q) that the set-of-tuples enumeration reaches, for tails
-        of length 1-6 (coefficients often divisible by p) and g = 0, g a
-        nonzero non-unit and g a unit."""
+        """Bit q of entry s of the packed state bitset is set exactly when
+        the set-of-tuples enumeration reaches (s, q) mod M, for tails of
+        length 1-6 (coefficients often divisible by p)."""
         rng = random.Random(3141)
         for p, mod in ((2, 64), (3, 81), (5, 25), (7, 49), (11, 11), (13, 13)):
             for length in range(1, 7):
                 for _ in range(2):
                     tail = tuple(rng.choice((1, 2, 3, 5, 7)) * p ** rng.choice((0, 0, 1, 2))
                                  for _ in range(length))
-                    states = _tail_sum_states(tail, mod, None)
-                    gs = [0, rng.randrange(1, mod, p)]  # zero and a unit
-                    if mod > p:
-                        gs.append(p * rng.randrange(1, mod // p))
-                    for g in gs:
-                        expected = [0] * mod
-                        for s, q, _ in states:
-                            expected[s] |= 1 << (g * q % mod)
-                        assert _pair_states(tail, mod, g) == tuple(expected), \
-                            (tail, mod, g)
+                    expected = [0] * mod
+                    for s, q, _ in _tail_sum_states(tail, mod, None):
+                        expected[s] |= 1 << q
+                    assert _pair_states(tail, mod) == tuple(expected), (tail, mod)
 
     def test_deep_witnesses_are_pinned(self):
         """Calls whose first certified stratum node lies at level 2 or deeper:
@@ -411,6 +415,83 @@ class TestEq2:
             assert (v.status == EQ2_UNSOLVABLE) == (not expected), (A, B, k)
             if expected and v.witness is None:
                 assert v.status == EQ2_UNKNOWN
+
+    def test_roots_match_the_enumeration(self):
+        """``_eq2_roots`` yields exactly the y mod p where the value is 0 mod
+        p, in lexicographic order.  Seeded cases at p in {3, 5, 7, 11, 13}
+        are forced into each degenerate branch of the last coordinate's
+        quadratic a z^2 + b z + k: t_n = 0 and t_n = -a_1 mod p (a = 0, so
+        linear where b != 0 and constant where b = 0, with every z or no z a
+        root) and eff = 0 mod p (the value is c^2 - R at every y)."""
+        def value(c, R, eff, a1, tail, y):
+            s = sum(t * yi for t, yi in zip(tail, y))
+            q = sum(t * yi * yi for t, yi in zip(tail, y))
+            return (c - eff * s) ** 2 + eff * eff * a1 * q - R
+
+        rng = random.Random(1913)
+        shapes = set()
+        for p in (3, 5, 7, 11, 13):
+            for kind in ("random", "t_n = 0", "t_n = -a_1", "eff = 0") * 4:
+                n = rng.randint(1, 4 if p < 11 else 3)
+                a1 = rng.randint(1, 30)
+                tail = [rng.randint(1, 30) for _ in range(n)]
+                eff = rng.randint(1, 30)
+                c, R = rng.randint(0, 200), rng.randint(-50, 400)
+                if kind == "t_n = 0":
+                    tail[-1] = p * rng.randint(1, 4)
+                elif kind == "t_n = -a_1":
+                    tail[-1] = -a1 % p + p * rng.randint(1, 4)
+                elif kind == "eff = 0":
+                    eff = p * rng.randint(1, 3)
+                    if rng.random() < 0.5:
+                        R = c * c + p * rng.randint(-9, 9)
+                    shapes.add(f"eff = 0, c^2 = R: {(c * c - R) % p == 0}")
+                got = list(quadratic._eq2_roots(c, R, eff, a1, tuple(tail), p))
+                expected = [y for y in product(range(p), repeat=n)
+                            if value(c, R, eff, a1, tail, y) % p == 0]
+                assert got == expected, (p, kind, c, R, eff, a1, tail)
+                if kind == "eff = 0":
+                    continue
+                a = eff * eff * tail[-1] * (tail[-1] + a1) % p
+                for prefix in product(range(p), repeat=n - 1):
+                    lin0 = c - eff * sum(t * yi for t, yi in zip(tail, prefix))
+                    q0 = sum(t * yi * yi for t, yi in zip(tail, prefix))
+                    b = 2 * lin0 * eff * tail[-1] % p
+                    k = (lin0 * lin0 + eff * eff * a1 * q0 - R) % p
+                    shapes.add("quadratic" if a else "linear" if b else
+                               "no z" if k else "every z")
+        assert shapes == {"quadratic", "linear", "no z", "every z",
+                          "eff = 0, c^2 = R: True", "eff = 0, c^2 = R: False"}
+
+    def test_large_prime_rank_three_calls(self):
+        # past the congruence ceiling, so the disproof is the congruence mod p:
+        # <1,1,1009>_5 at (3, 1, 2) has no root mod 1009, and seeded calls at
+        # p in {89, 97} are unsolvable exactly when the congruence mod p has no
+        # solution
+        form = MgonalForm(5, (1, 1, 1009))
+        v = solvable_eq2_at(form, 3, 1, 2, eq2_context(form, 1009))
+        assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
+        rng = random.Random(8997)
+        statuses = set()
+        for _ in range(40):
+            p = rng.choice((89, 97))
+            coeffs = [rng.randint(1, 12) for _ in range(3)]
+            coeffs[rng.randrange(3)] = 1
+            if rng.random() < 0.3:
+                coeffs[2] *= p
+            form = MgonalForm(rng.randint(3, 12), tuple(coeffs))
+            A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), rng.randint(0, 30)
+            scale = rng.choice((1, p))
+            c, R = eq2_constants(form, A, B, k)
+            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p), scale=scale)
+            statuses.add(v.status)
+            expected = pair_congruence_oracle(c, R, scale, coeffs[0], coeffs[1:], p)
+            case = (form.describe(), A, B, k, p, scale)
+            assert (v.status == EQ2_UNSOLVABLE) == (not expected), case
+            if v.witness is not None:
+                res = eq2_residual(form, A, B, k, v.witness, scale=scale)
+                assert res % p ** v.precision == 0, case
+        assert {EQ2_PRIMITIVE, EQ2_UNSOLVABLE} <= statuses
 
     def test_precision_contract(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
