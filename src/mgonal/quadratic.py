@@ -8,7 +8,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import count, islice, product, takewhile
 from operator import add, mul
 
 from .arith import (
@@ -22,7 +22,7 @@ from .arith import (
     ordp,
     unit_square_class_reps,
 )
-from .errors import AnomalyWarning, ContractError, InputError, ResourceError
+from .errors import AnomalyWarning, ContractError, InputError
 from .polygonal import MgonalForm
 
 GramMatrix = tuple[tuple[int, ...], ...]
@@ -574,11 +574,9 @@ EQ2_UNKNOWN = "unsolvable-within-strata"
 #: Precision that ``eq2_context`` adds on top of the stability depth.
 EQ2_MARGIN = 4
 
-#: Cap on the live nodes of one congruence level of the stratum search.
+#: Cap on the nodes of one level of a stratum walk, on the prefixes that
+#: ``_eq2_roots`` scans, and on the square of the deepest congruence modulus.
 EQ2_NODE_BUDGET = 250_000
-
-#: Largest residue count p^n a stratum search may enumerate at level 1.
-EQ2_ROOT_CEILING = 2_000_000
 
 #: Bound on the cube of the pair-congruence modulus p^l2 (see _congruence_depth).
 EQ2_CONGRUENCE_CEILING = 700_000
@@ -590,8 +588,9 @@ class Eq2Verdict:
 
     min_order is the smallest min-coordinate valuation found (0 for a
     primitive witness; None when only the zero solution is known).
-    "unsolvable-within-strata" means the capped search certified nothing but
-    full unsolvability was not proven either.
+    "unsolvable-within-strata" means that no stratum certified and no
+    disproof held.  budget_exhausted says that some level of a stratum walk
+    was over ``EQ2_NODE_BUDGET``; it is False on an unsolvable verdict.
     """
 
     status: str
@@ -678,11 +677,12 @@ def _eq2_roots(c, R, eff, a1, tail, p):
     a z^2 + b z + k with a = eff^2 t_n (t_n + a_1), b = -2 lin0 eff t_n and
     k = lin0^2 + eff^2 a_1 q0 - R.  Its roots are yielded in ascending z,
     with a table of square roots mod p; when a = b = 0 every z is a root if
-    k is and none is otherwise.
+    k is and none is otherwise.  At most ``EQ2_NODE_BUDGET`` prefixes are
+    scanned; when that cuts the scan short, None follows the roots.
     """
     n = len(tail)
     eff %= p
-    if eff == 0:  # the value is c^2 - R mod p at every y
+    if eff == 0 or not any(t % p for t in tail):  # the value is c^2 - R mod p
         if (c * c - R) % p == 0:
             yield from product(range(p), repeat=n)
         return
@@ -693,7 +693,7 @@ def _eq2_roots(c, R, eff, a1, tail, p):
         sqrt = [-1] * p
         for r in range(p // 2 + 1):
             sqrt[r * r % p] = r
-    for prefix in product(range(p), repeat=n - 1):
+    for prefix in islice(product(range(p), repeat=n - 1), EQ2_NODE_BUDGET):
         s0 = q0 = 0
         for t, yi in zip(head, prefix):
             ty = t * yi
@@ -716,6 +716,8 @@ def _eq2_roots(c, R, eff, a1, tail, p):
             roots = range(p)
         for z in roots:
             yield (*prefix, z)
+    if p ** (n - 1) > EQ2_NODE_BUDGET:
+        yield None
 
 
 def _certify(y, val, lin, lead, eff_a1, p):
@@ -741,79 +743,64 @@ def _certify(y, val, lin, lead, eff_a1, p):
     return (y, None if best is None else lift)
 
 
-def _stratum_level_one(c, R, eff, a1, tail, p):
-    """Level 1 of the stratum search (see ``_stratum_search``) for
-    x = p^sigma y, eff = scale * p^sigma: the nonzero roots y mod p of the
-    value, in lexicographic order, from ``_eq2_roots`` at an odd p and from
-    the 2^n residues at p = 2.  Returns (found, survivors): the first
-    certified root as (y, lift coordinate or None), or None and the roots
-    whose value is 0 mod p^2."""
-    lead = [2 * eff * t for t in tail]
-    eff_a1 = eff * a1
-    survivors = []
-    nodes = product(range(2), repeat=len(tail)) if p == 2 else \
-        _eq2_roots(c, R, eff, a1, tail, p)
-    for y in nodes:
-        if not any(y):
-            continue
-        val, lin = _eq2_terms(c, R, eff, a1, tail, y)
-        if val % p:  # only at p = 2, which yields every residue
-            continue
-        found = _certify(y, val, lin, lead, eff_a1, p)
-        if found is not None:
-            return found, []
-        if val % (p * p) == 0:
-            survivors.append(y)
-    return None, survivors
+def _stratum_search(c, R, eff, a1, tail, p, depth, refuted):
+    """Certified congruence walk for solutions x = p^sigma y, y primitive,
+    eff = scale * p^sigma.  Returns (outcome, budget_exhausted_flag): the
+    first certified node as (witness_y, lift_coordinate_or_None); None when
+    the walk proves the stratum empty; ``EQ2_UNSOLVABLE`` when ``refuted``
+    disproved the equation; else ``EQ2_UNKNOWN``.
 
-
-def _stratum_search(c, R, eff, a1, tail, p, survivors, depth):
-    """Certified congruence search for solutions x = p^sigma y, y primitive,
-    eff = scale * p^sigma, from the level-1 survivors of
-    ``_stratum_level_one``.
-
-    Returns ((witness_y, lift_coordinate_or_None), budget_exhausted_flag);
-    the witness slot is None when nothing certified within the depth.
-
-    Level 1 holds the nonzero residues y mod p with value = 0 mod p.  Level
+    Level 1 holds the nonzero y mod p with value = 0 mod p: the roots from
+    ``_eq2_roots`` at an odd p, the 2^n residues filtered at p = 2.  Level
     l+1 holds the p^n children y + p^l d (d mod p) of each level-l node
-    whose value is 0 mod p^(l+1), cut after ``EQ2_NODE_BUDGET`` nodes, which
-    sets the flag.  A node certifies as ``_certify`` says.  Survivors have
-    gradient = 0 mod p (a unit gradient would have certified), so a node's
-    children all satisfy the next congruence level or none do: only nodes
-    whose value passes it are kept.
+    whose value is 0 mod p^(l+1).  Each level is cut after
+    ``EQ2_NODE_BUDGET`` nodes; a level l >= 2 sets the flag when its full
+    size is over the budget, level 1 when its scan really was cut.  A node
+    certifies as ``_certify`` says.  Survivors have gradient = 0 mod p (a
+    unit gradient would have certified), so a node's children all satisfy
+    the next congruence level or none do, and the residues of a primitive
+    solution survive every level until one certifies: a walk with no cut
+    that runs out of survivors, at any level up to ``depth``, proves the
+    stratum empty.  Between levels the walk asks ``refuted(size)``, size
+    being the next level's full node count (0 after the last level).
 
-    Children are generated lazily and checked in lexicographic order, so the
-    first certified node is returned without building the rest of its
-    level; the flag still comes from the level's full size.  Each node's
-    sums s and q are taken once, and its value and every derivative come
-    from them.
+    Children are generated lazily in lexicographic order, so the first
+    certified node is returned without building the rest of its level.
+    Each node's sums s and q are taken once, and its value and every
+    derivative come from them.
     """
     n = len(tail)
     lead = [2 * eff * t for t in tail]
     eff_a1 = eff * a1
     budget_hit = False
-    for level in range(1, depth):
-        if not survivors:
-            break
-        plevel = p ** level
-        budget_hit = budget_hit or len(survivors) * p ** n > EQ2_NODE_BUDGET
-        steps = range(0, plevel * p, plevel)
-        parents, survivors = survivors, []
-        children = islice(
-            (tuple(map(add, y, step)) for y in parents
-             for step in product(steps, repeat=n)),
-            EQ2_NODE_BUDGET,
-        )
-        next_mod = plevel * p * p
-        for y in children:
+    nodes = product(range(2), repeat=n) if p == 2 else \
+        _eq2_roots(c, R, eff, a1, tail, p)
+    plevel = p
+    for level in count(1):
+        survivors = []
+        next_mod = plevel * p
+        for seen, y in enumerate(nodes):
+            if seen == EQ2_NODE_BUDGET or y is None:  # a cut level
+                budget_hit = True
+                break
             val, lin = _eq2_terms(c, R, eff, a1, tail, y)
+            if level == 1 and (val % p or not any(y)):  # p = 2 yields every y
+                continue
             found = _certify(y, val, lin, lead, eff_a1, p)
             if found is not None:
                 return found, budget_hit
             if val % next_mod == 0:
                 survivors.append(y)
-    return None, budget_hit
+        size = len(survivors) * p ** n if level < depth else 0
+        if refuted(size):
+            return EQ2_UNSOLVABLE, budget_hit
+        if not size:
+            return (EQ2_UNKNOWN if budget_hit or survivors else None), budget_hit
+        budget_hit = budget_hit or size > EQ2_NODE_BUDGET
+        steps = range(0, next_mod, plevel)
+        nodes = (tuple(map(add, y, step)) for y in survivors
+                 for step in product(steps, repeat=n))
+        plevel = next_mod
 
 
 @lru_cache(maxsize=1024)
@@ -849,16 +836,14 @@ def _pair_states(tail: tuple[int, ...], mod: int) -> tuple[int, ...]:
     return tuple((states >> s * mod) & row for s in range(mod))
 
 
-def _congruence_depth(p: int, precision: int) -> int | None:
+def _congruence_depth(p: int, precision: int) -> int:
     """Exponent l2 of the pair-congruence modulus: the largest e with
-    p^(3e) <= EQ2_CONGRUENCE_CEILING, capped by the precision.  None when even
+    p^(3e) <= EQ2_CONGRUENCE_CEILING, capped by the precision; 0 when even
     p^3 exceeds the ceiling.  The ceiling bounds the cube because a
     ``_pair_states`` build mod M = p^l2, cached per (tail, M), takes at most
     2M operations on M^2-bit integers per tail coefficient."""
-    if p ** 3 > EQ2_CONGRUENCE_CEILING:
-        return None
-    e = 1
-    while p ** (3 * (e + 1)) <= EQ2_CONGRUENCE_CEILING and e + 1 <= precision:
+    e = 0
+    while e < precision and p ** (3 * (e + 1)) <= EQ2_CONGRUENCE_CEILING:
         e += 1
     return e
 
@@ -897,18 +882,18 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1,
 
     reporting primitivity of (x_2,...,x_n) and the smallest min-coordinate
-    valuation found.  Strata sigma = 0, 1, ..., ceil(ord_p(a_1)/2)+1 are
-    scanned by certified congruence search (``_stratum_level_one``, then
-    ``_stratum_search``).  A certified root at level 1 of stratum 0 is a
-    p-adic solution and settles the call at once.  Otherwise the exhaustive
-    pair congruence mod p^l2 (l2 from ``_congruence_depth``) is tried: when
-    it has no solution the equation is unsolvable, and no deeper level or
-    stratum is searched.  When no stratum certifies and x = 0 is no
-    solution, the instance is reported unsolvable-within-strata.  Past
-    ``EQ2_ROOT_CEILING`` residues p^n the congruence alone decides, and
-    ``ResourceError`` is raised when it has a solution.  At p^3 above
-    ``EQ2_CONGRUENCE_CEILING`` the disproof is the congruence mod p, decided
-    from its roots after the strata.
+    valuation found.  With c and R the two constants and v = ord_p(c^2 - R),
+    the strata sigma = 0, 1, ..., min(ceil(ord_p(a_1)/2)+1, v) are walked by
+    ``_stratum_search``: a solution in stratum sigma has p^sigma | c^2 - R,
+    so no later stratum holds one.  A certified node is a p-adic solution
+    and settles the call.  The equation is unsolvable when a disproof holds
+    or when c^2 != R and every stratum up to v comes out of its walk empty.
+    The disproofs are the exhaustive pair congruence mod p^l2 (l2 from
+    ``_congruence_depth``), tried after level 1 of stratum 0 when no root
+    certified, and mod p^d for d = l2+1, ... while p^(2d) stays within
+    ``EQ2_NODE_BUDGET``, tried once, before a walk expands a level past the
+    budget or else before an undecided verdict.  When c^2 = R the zero
+    solution is reported; otherwise the instance is unsolvable-within-strata.
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
@@ -925,32 +910,35 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     c, R = eq2_constants(form, A, B, k)
     depth = ctx.precision
     l2 = _congruence_depth(p, depth)
+    first = [l2] if l2 else []
+    deeper = list(takewhile(lambda d: p ** (2 * d) <= EQ2_NODE_BUDGET, count(l2 + 1)))
+
+    def refuted(size) -> bool:
+        """The walks' check between levels: mod p^l2 at the first call, then
+        the deeper moduli once, at the first size past the budget."""
+        nonlocal first, deeper
+        depths, first = first, []
+        if size > EQ2_NODE_BUDGET:
+            depths, deeper = depths + deeper, []
+        return any(not _pair_congruence_solvable(c, R, scale, a1, tail, p, d)
+                   for d in depths)
+
     unsolvable = Eq2Verdict(
         status=EQ2_UNSOLVABLE, min_order=None, witness=None,
         precision=depth, budget_exhausted=False,
     )
-    n = len(tail)
-    if p ** n > EQ2_ROOT_CEILING:
-        if l2 is None or _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
-            raise ResourceError(
-                f"stratum root enumeration of {p}^{n} residues exceeds the search budget"
-            )
-        return unsolvable
-    # a certified level-1 root is a solution, which no congruence refutes
-    found, survivors = _stratum_level_one(c, R, scale, a1, tail, p)
-    if found is None and l2 is not None and \
-            not _pair_congruence_solvable(c, R, scale, a1, tail, p, l2):
-        return unsolvable
+    v = INFINITY if c * c == R else _ord(c * c - R, p)
     cap = (int(ordp(a1, p)) + 1) // 2 + 1
-    budget_hit = False
-    for sigma in range(cap + 1):
+    budget_hit = undecided = False
+    for sigma in range(min(cap, v) + 1):
         eff = scale * p ** sigma
-        if sigma:
-            found, survivors = _stratum_level_one(c, R, eff, a1, tail, p)
-        if found is None:
-            found, hit = _stratum_search(c, R, eff, a1, tail, p, survivors, depth)
-            budget_hit = budget_hit or hit
-        if found is not None:
+        found, hit = _stratum_search(c, R, eff, a1, tail, p, depth, refuted)
+        budget_hit = budget_hit or hit
+        if found == EQ2_UNSOLVABLE:
+            return unsolvable
+        if found == EQ2_UNKNOWN:
+            undecided = True
+        elif found is not None:
             y, i = found
             refined = _refine_eq2(c, R, eff, a1, tail, y, i, p, depth) \
                 if i is not None else tuple(yi % p ** depth for yi in y)
@@ -967,11 +955,11 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
             witness=(0,) * (form.rank - 1), precision=depth,
             budget_exhausted=budget_hit,
         )
-    # with no l2 the disproof is the congruence mod p
-    solvable = l2 is not None or next(_eq2_roots(c, R, scale, a1, tail, p), None) is not None
+    if (v <= cap and not undecided) or refuted(INFINITY):
+        return unsolvable
     return Eq2Verdict(
-        status=EQ2_UNKNOWN if solvable else EQ2_UNSOLVABLE, min_order=None,
-        witness=None, precision=depth, budget_exhausted=budget_hit,
+        status=EQ2_UNKNOWN, min_order=None, witness=None,
+        precision=depth, budget_exhausted=budget_hit,
     )
 
 

@@ -218,9 +218,12 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     representatives); ``k_limit`` bounds the scan further for pathologically
     large periods, in which case the result is flagged as truncated.
 
-    A residue whose verdict is undecided (``EQ2_UNKNOWN``) counts as not
-    admissible.  Whenever a prime has such residues, or verdicts whose stratum
-    search hit its node budget, the diagnostics say how many of each.
+    ``solvable_eq2_at`` decides a residue at any prime: its stratum walks
+    and their deeper congruence disproofs share one node budget, and no
+    prime is too large to try.  A residue whose verdict is still undecided
+    (``EQ2_UNKNOWN``) counts as not admissible.  Whenever a prime has such
+    residues, or verdicts whose stratum walk hit its node budget, the
+    diagnostics say how many of each.
     """
     if form.rank < 5:
         raise InputError("the admissible search needs rank >= 5")

@@ -104,6 +104,16 @@ def test_admissible_k(capsys):
     assert data["pairs"] and data["k_bound"] == 7
 
 
+def test_admissible_k_at_a_large_coefficient_prime(capsys):
+    # 53 divides a coefficient, so the search classifies eq2 at p = 53
+    code, out, _ = run(capsys, "admissible-k", "--m", "8",
+                       "--coeffs", "3,1,1,2,53", "--n", "400", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pairs"] and data["diagnostics"] == []
+    assert {ev["p"] for ev in data["pairs"][0]["evidence"]} == {2, 3, 53}
+
+
 def test_admissible_k_text_prints_diagnostics_with_pairs(capsys, monkeypatch):
     real = mgonal.theorem.admissible_k
     monkeypatch.setattr(mgonal.cli, "admissible_k",

@@ -11,7 +11,6 @@ from mgonal import (
     ContractError,
     InputError,
     MgonalForm,
-    ResourceError,
     bareiss_determinant,
     eq2_context,
     eq2_residual,
@@ -302,8 +301,9 @@ class TestEq2:
     def test_pair_congruence_matches_the_oracle(self):
         """Seeded cases over ranks 3-6, p in {2, 3, 5, 7, 11}, scale in
         {1, p, p^2} and a_1 sometimes multiplied by p: the cached disproof
-        equals the set enumeration mod p^l2, an unsolvable verdict has no
-        solution there, and witnesses verify.  The multiplier
+        equals the set enumeration mod p^l2, no solution there makes the
+        verdict unsolvable, and witnesses verify.  (The converse fails: an
+        empty stratum walk or a deeper congruence also disproves.)  The multiplier
         g = scale^2 a_1 mod p^l2 of q is met as a unit, as p^j u with j >= 1
         and as 0."""
         rng = random.Random(2718)
@@ -337,8 +337,8 @@ class TestEq2:
                     c, R, scale, a1, tail, p, l2) == expected, case
                 v = solvable_eq2_at(form, A, B, k, ctx, scale=scale)
                 statuses.add(v.status)
-                if v.status == EQ2_UNSOLVABLE:
-                    assert not expected, case
+                if not expected:
+                    assert v.status == EQ2_UNSOLVABLE, case
                 if v.witness is not None:
                     res = eq2_residual(form, A, B, k, v.witness, scale=scale)
                     assert res % p ** v.precision == 0, case
@@ -379,32 +379,101 @@ class TestEq2:
             assert got == (case["status"], case["min_order"], case["witness"],
                            case["precision"], case["budget_exhausted"]), case
 
-    def test_disproof_precedes_the_root_ceiling(self):
-        # 13^6 level-1 roots exceed EQ2_ROOT_CEILING.  At (A, B, k) = (1, 0, 0)
-        # c^2 = R fails mod 13, so the congruence settles the call; at
-        # (0, 1, 0) c^2 = R, so the stratum search still runs and refuses
+    def test_tail_divisible_by_p_needs_no_root_scan(self):
+        # every tail coefficient is divisible by 13, so the value is c^2 - R
+        # mod 13 at every y.  At (A, B, k) = (1, 0, 0) that is a unit, so the
+        # call is unsolvable; at (0, 1, 0) c^2 = R, and the first residues of
+        # the 13^6 certify at once
         form = MgonalForm(5, (1, 13, 13, 13, 13, 13, 13))
         ctx = eq2_context(form, 13)
         v = solvable_eq2_at(form, 1, 0, 0, ctx)
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
-        with pytest.raises(ResourceError):
-            solvable_eq2_at(form, 0, 1, 0, ctx)
+        v = solvable_eq2_at(form, 0, 1, 0, ctx)
+        assert v.status == EQ2_PRIMITIVE and not v.budget_exhausted
+        assert eq2_residual(form, 0, 1, 0, v.witness) % 13 ** v.precision == 0
 
-    def test_large_primes_reach_the_root_ceiling_first(self):
-        # 10007^3 is past the congruence ceiling: no state bitset is built,
-        # and the stratum search refuses 10007^4 roots at once
+    def test_large_prime_certifies_without_a_state_table(self):
+        # 10007^3 is past the congruence ceiling and 10007^2 past the node
+        # budget, so no state bitset is built; the root scan, cut at the
+        # budget, certifies its first nonzero root
         form = MgonalForm(10009, (1, 1, 1, 1, 10007))
-        assert _congruence_depth(10007, 1) is None
+        assert _congruence_depth(10007, 1) == 0
         ctx = eq2_context(form, 10007)
         before = _pair_states.cache_info()
-        with pytest.raises(ResourceError):
-            solvable_eq2_at(form, 0, 1, 0, ctx)
+        v = solvable_eq2_at(form, 0, 1, 0, ctx)
+        assert v.status == EQ2_PRIMITIVE and not v.budget_exhausted
+        assert eq2_residual(form, 0, 1, 0, v.witness) % 10007 ** v.precision == 0
         after = _pair_states.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    def test_newly_decided_verdicts(self):
+        """Calls that the node budget or the depth once left undecided,
+        each unsolvable with an independent certificate: no solution of the
+        pair congruence, found by the oracle (primitive vectors only where
+        c^2 - R is a unit, so that only stratum 0 can hold a solution), or
+        by the packed kernel that test_pair_states_match_the_oracle checks."""
+        cases = (  # m, coeffs, (A, B, k), p, scale, oracle modulus, primitive
+            (13, (11, 11, 1), (32, 7, 15), 11, 1, 121, False),
+            (9, (13, 1, 18), (11, 6, 16), 13, 1, 169, True),
+            (5, (135, 13, 10, 5, 1), (30, 0, 15), 5, 25, 125, False),
+        )
+        for m, coeffs, (A, B, k), p, scale, mod, primitive in cases:
+            form = MgonalForm(m, coeffs)
+            c, R = eq2_constants(form, A, B, k)
+            if primitive:
+                assert (c * c - R) % p
+            assert not pair_congruence_oracle(c, R, scale, coeffs[0], coeffs[1:], mod,
+                                              p=p if primitive else None)
+            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p), scale=scale)
+            assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted, form
+        form = MgonalForm(11, (8, 1, 9, 11, 4))
+        c, R = eq2_constants(form, 0, 2, 10)
+        assert not _pair_congruence_solvable(c, R, 4, 8, (1, 9, 11, 4), 2, 8)
+        v = solvable_eq2_at(form, 0, 2, 10, eq2_context(form, 2), scale=4)
+        assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
+
+    def test_walk_at_the_precision_stays_undecided(self):
+        # c^2 - R = -64 allows strata 0..6, more than the 0..2 walked; a
+        # stratum walk still has survivors at the precision, and neither
+        # congruence mod 2^6 nor the deeper ones mod 2^7, 2^8 refute
+        form = MgonalForm(5, (4, 1, 10))
+        c, R = eq2_constants(form, 8, 0, 0)
+        assert c * c - R == -64
+        assert all(_pair_congruence_solvable(c, R, 1, 4, (1, 10), 2, d) for d in (6, 7, 8))
+        v = solvable_eq2_at(form, 8, 0, 0, eq2_context(form, 2))
+        assert (v.status, v.witness, v.budget_exhausted) == (EQ2_UNKNOWN, None, False)
+
+    def test_cut_walks_prove_nothing(self, monkeypatch):
+        """With the node budget lowered to 3, root scans and levels are cut
+        almost at once.  A cut walk must not pass for an empty one: no call
+        that is solvable under the normal budget may come out unsolvable, and
+        witnesses still verify."""
+        rng = random.Random(4242)
+        cases = []
+        for _ in range(150):
+            rank = rng.randint(3, 5)
+            coeffs = [rng.randint(1, 12) for _ in range(rank)]
+            coeffs[rng.randrange(rank)] = 1
+            form = MgonalForm(rng.randint(3, 12), tuple(coeffs))
+            p = rng.choice((3, 5, 7, 11, 13))
+            cases.append((form, rng.randint(0, 40), rng.randint(0, form.m - 3),
+                          rng.randint(0, 20), p, rng.choice((1, p))))
+        full = [solvable_eq2_at(f, A, B, k, eq2_context(f, p), scale=s)
+                for f, A, B, k, p, s in cases]
+        monkeypatch.setattr(quadratic, "EQ2_NODE_BUDGET", 3)
+        cut_open = 0
+        for (f, A, B, k, p, s), v in zip(cases, full):
+            w = solvable_eq2_at(f, A, B, k, eq2_context(f, p), scale=s)
+            if v.min_order is not None or v.witness is not None:
+                assert w.status != EQ2_UNSOLVABLE, (f.describe(), A, B, k, p, s)
+            if w.witness is not None:
+                assert eq2_residual(f, A, B, k, w.witness, scale=s) % p ** w.precision == 0
+            cut_open += w.status == EQ2_UNKNOWN and w.budget_exhausted
+        assert cut_open
+
     def test_large_prime_disproof_is_mod_p(self):
-        # past the congruence ceiling the disproof runs after the strata, mod
-        # p: with every tail coefficient divisible by 97 the equation mod 97
+        # past the congruence ceiling the disproof is the congruence mod p:
+        # with every tail coefficient divisible by 97 the equation mod 97
         # is c^2 = R, so it is unsolvable exactly when that fails mod 97
         form = MgonalForm(7, (1, 97, 194))
         ctx = eq2_context(form, 97)
@@ -422,7 +491,8 @@ class TestEq2:
         are forced into each degenerate branch of the last coordinate's
         quadratic a z^2 + b z + k: t_n = 0 and t_n = -a_1 mod p (a = 0, so
         linear where b != 0 and constant where b = 0, with every z or no z a
-        root) and eff = 0 mod p (the value is c^2 - R at every y)."""
+        root), and eff = 0 or every t_i = 0 mod p (the value is c^2 - R at
+        every y)."""
         def value(c, R, eff, a1, tail, y):
             s = sum(t * yi for t, yi in zip(tail, y))
             q = sum(t * yi * yi for t, yi in zip(tail, y))
@@ -431,7 +501,7 @@ class TestEq2:
         rng = random.Random(1913)
         shapes = set()
         for p in (3, 5, 7, 11, 13):
-            for kind in ("random", "t_n = 0", "t_n = -a_1", "eff = 0") * 4:
+            for kind in ("random", "t_n = 0", "t_n = -a_1", "eff = 0", "tail = 0") * 4:
                 n = rng.randint(1, 4 if p < 11 else 3)
                 a1 = rng.randint(1, 30)
                 tail = [rng.randint(1, 30) for _ in range(n)]
@@ -443,14 +513,17 @@ class TestEq2:
                     tail[-1] = -a1 % p + p * rng.randint(1, 4)
                 elif kind == "eff = 0":
                     eff = p * rng.randint(1, 3)
+                elif kind == "tail = 0":
+                    tail = [p * rng.randint(1, 4) for _ in range(n)]
+                if kind in ("eff = 0", "tail = 0"):
                     if rng.random() < 0.5:
                         R = c * c + p * rng.randint(-9, 9)
-                    shapes.add(f"eff = 0, c^2 = R: {(c * c - R) % p == 0}")
+                    shapes.add(f"{kind}, c^2 = R: {(c * c - R) % p == 0}")
                 got = list(quadratic._eq2_roots(c, R, eff, a1, tuple(tail), p))
                 expected = [y for y in product(range(p), repeat=n)
                             if value(c, R, eff, a1, tail, y) % p == 0]
                 assert got == expected, (p, kind, c, R, eff, a1, tail)
-                if kind == "eff = 0":
+                if kind in ("eff = 0", "tail = 0"):
                     continue
                 a = eff * eff * tail[-1] * (tail[-1] + a1) % p
                 for prefix in product(range(p), repeat=n - 1):
@@ -461,11 +534,12 @@ class TestEq2:
                     shapes.add("quadratic" if a else "linear" if b else
                                "no z" if k else "every z")
         assert shapes == {"quadratic", "linear", "no z", "every z",
-                          "eff = 0, c^2 = R: True", "eff = 0, c^2 = R: False"}
+                          "eff = 0, c^2 = R: True", "eff = 0, c^2 = R: False",
+                          "tail = 0, c^2 = R: True", "tail = 0, c^2 = R: False"}
 
     def test_large_prime_rank_three_calls(self):
-        # past the congruence ceiling, so the disproof is the congruence mod p:
-        # <1,1,1009>_5 at (3, 1, 2) has no root mod 1009, and seeded calls at
+        # past the congruence ceiling: <1,1,1009>_5 at (3, 1, 2) has no root
+        # mod 1009, so its stratum walk is empty at once, and seeded calls at
         # p in {89, 97} are unsolvable exactly when the congruence mod p has no
         # solution
         form = MgonalForm(5, (1, 1, 1009))

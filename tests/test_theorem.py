@@ -25,6 +25,7 @@ from mgonal.quadratic import (
     EQ2_UNSOLVABLE,
     Eq2Verdict,
     eq2_constants,
+    eq2_residual,
     solvable_eq2_at,
 )
 from mgonal.theorem import DYADIC, ODD_BAD, ODD_GOOD
@@ -252,6 +253,20 @@ class TestAdmissibleK:
                     )
                     assert v.status == EQ2_PRIMITIVE
             checked += 1
+
+    def test_large_coefficient_primes(self):
+        # 41^4 and 19^5 level-1 residues: the root scans certify at once
+        from mgonal.polygonal import decompose_target
+        for form, N in ((MgonalForm(5, (1, 1, 1, 1, 41)), 1000),
+                        (MgonalForm(5, (1, 1, 1, 1, 19, 19)), 500)):
+            result = admissible_k(form, N)
+            assert result.pairs and result.diagnostics == ()
+            dec = decompose_target(form.m, N)
+            for pair in result.pairs:
+                for ev in pair.evidence:
+                    res = eq2_residual(form, dec.A, dec.B, ev.k_residue,
+                                       ev.verdict.witness, scale=ev.p ** ev.s)
+                    assert res % ev.p ** ev.verdict.precision == 0
 
     def test_k_translation_property(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
