@@ -12,7 +12,8 @@ from .errors import InputError
 
 
 def coefficient_gcd(coeffs) -> int:
-    """gcd of a coefficient tuple (reported to callers of rejected forms)."""
+    """gcd of a coefficient tuple (reported to callers of rejected forms, and
+    the divisor that prunes the search in ``represents``)."""
     return math.gcd(*coeffs) if len(coeffs) > 1 else coeffs[0]
 
 
@@ -158,16 +159,21 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     Rank-1 and rank-2 forms, which the local criterion does not cover, are
     left to the search.
 
-    The search is exhaustive over the finite region a_i P_m(x_i) <= N, with
-    capacity pruning; coefficients are processed left to right and candidate
-    values largest-first (positive x preferred on ties), so the witness
-    returned is reproducible.  The last coordinate is looked up in a map from
-    each value of the last term to its smallest |x| (positive on ties), so
-    the search ends one level early.  At rank >= 3 the cost follows the
-    target's status, not its size alone: a locally obstructed target costs
-    an orbit lookup per prime, a represented one ends at its first witness,
-    and only an exceptional one (locally represented, not represented)
-    exhausts the region.
+    The search is exhaustive over the finite region a_i P_m(x_i) <= N;
+    coefficients are processed left to right and candidate values
+    largest-first (positive x preferred on ties), so the witness returned is
+    reproducible.  A value v at coordinate i is skipped unless
+    g = gcd(a_{i+1}, ..., a_n) divides the remainder rem - v: every sum of
+    the later terms is a multiple of g, so a skipped subtree holds no
+    solution, and the surviving values keep their order, so the first witness
+    found and every None are the same as without the test.  The last
+    coordinate is looked up in a map from each value of the last term to its
+    smallest |x| (positive on ties), so the search ends one level early; there
+    g = a_n, and the test runs before the lookup.  At rank >= 3 the cost
+    follows the target's status, not its size alone: a locally obstructed
+    target costs an orbit lookup per prime, a represented one ends at its
+    first witness, and only an exceptional one (locally represented, not
+    represented) exhausts the region.
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
@@ -183,12 +189,18 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
         x = get(N)
         return None if x is None else Witness((x,))
     final = len(tables) - 1
+    # every sum of the terms after position i is a multiple of gcds[i]
+    gcds = [coefficient_gcd(form.coeffs[i + 1:]) for i in range(final + 1)]
 
     def walk(i: int, rem: int):
         values, x_of = tables[i]
         # the values <= rem, largest first (values[0] = 0 <= rem); a value
         # that two x share is tried once, since its subtree is the same
         below = values[bisect_right(values, rem) - 1::-1]
+        g = gcds[i]
+        if g > 1:
+            r = rem % g
+            below = [v for v in below if v % g == r]
         if i == final:
             for v in below:
                 y = get(rem - v)

@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from mgonal import (
     polygonal_number,
     represents,
 )
+from mgonal import polygonal
 from mgonal.polygonal import _term_table
 from mgonal.quadratic import eq2_residual
 
@@ -166,6 +169,49 @@ class TestRepresents:
                         w = represents(form, N)
                         assert (None if w is None else w.x) == x, (form, N)
         assert unreached > 0
+
+    def test_witnesses_on_nested_coefficients(self, monkeypatch):
+        # forms whose later coefficients share a factor, so the search skips
+        # every value that leaves a remainder the later terms cannot reach.
+        # Witnesses come from the reference order; an exhausted search must
+        # visit exactly the prefixes whose remainder the gcd of the later
+        # coefficients divides.  Each node of the search bisects its table
+        # once, so counting bisections counts nodes, once the tables (which
+        # bisect when built) are cached
+        nodes = 0
+
+        def counting_bisect(values, x):
+            nonlocal nodes
+            nodes += 1
+            return bisect_right(values, x)
+
+        monkeypatch.setattr(polygonal, "bisect_right", counting_bisect)
+        forms = ((16, (1, 3, 9, 27, 27)), (14, (1, 5, 25, 25, 25)),
+                 (11, (1, 3, 9, 9, 27)), (5, (1, 2, 4, 4)), (5, (4, 4, 2, 1)),
+                 (5, (1, 6)))
+        exhausted = interior = 0
+        for m, coeffs in forms:
+            form = MgonalForm(m, coeffs)
+            later = [math.gcd(*coeffs[i + 1:]) for i in range(len(coeffs) - 1)]
+            values = [sorted({a * polygonal_number(m, x) for x in range(-30, 31)})
+                      for a in coeffs[:-1]]
+            for N, x in enumerate(first_witnesses(form, 400)):
+                w = represents(form, N)
+                assert (None if w is None else w.x) == x, (form, N)
+                if x is not None or (len(coeffs) >= 3
+                                     and not locally_represents(form, N)):
+                    continue
+                nodes = 0
+                represents(form, N)
+                rems, expected = [N], 1
+                for vals, g in zip(values[:-1], later):
+                    rems = [r - v for r in rems for v in vals
+                            if v <= r and (r - v) % g == 0]
+                    expected += len(rems)
+                assert nodes == expected, (form, N)
+                exhausted += 1
+                interior += len(coeffs) >= 3 and max(later[:-1]) > 1
+        assert exhausted > 0 and interior > 0
 
     def test_not_represented(self):
         # <2,3>_4: 2x^2 + 3y^2 never equals 1
