@@ -12,6 +12,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import bit_bytes
 from .errors import InputError, ResourceError
@@ -99,21 +100,31 @@ class ExceptionalReport:
         j = bisect_left(exc, N)
         if not self._local[N] or exc[j:j + 1] == (N,):
             return None
-        stages = self._stages
+        views = self._stage_views
         out = []
         rem = N
         for i in range(self.form.rank - 1, -1, -1):
             # the census's bound tables, largest value <= rem first
             values, x_of = _term_table(self.form.m, self.form.coeffs[i],
                                        self.bound)
+            view = views[i]
             for v in values[bisect_right(values, rem) - 1::-1]:
-                if (stages[i] >> (rem - v)) & 1:
+                k = rem - v
+                if view[k >> 3] >> (k & 7) & 1:
                     out.append(x_of[v])
                     rem -= v
                     break
             else:  # pragma: no cover - stages guarantee a decomposition
                 raise ResourceError("witness reconstruction failed")
         return tuple(reversed(out))
+
+    @cached_property
+    def _stage_views(self) -> list[bytes]:
+        """Each reach stage packed little-endian, built on the first
+        ``witness`` call: bit k is bit k & 7 of byte k >> 3, so a probe reads
+        one byte where a shift would copy the whole stage."""
+        size = (self.bound >> 3) + 1
+        return [stage.to_bytes(size, "little") for stage in self._stages]
 
     def locally_represented(self, N: int) -> bool:
         if not 0 <= N <= self.bound:

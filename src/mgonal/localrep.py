@@ -85,23 +85,22 @@ def _criterion(form: MgonalForm, p: int):
     return rule, (m - 2) // 2, form.coeff_sum * ((m - 4) // 4) ** 2
 
 
+def _verdict(coeffs, N: int, p: int, rule, alpha, beta) -> LocalVerdict:
+    """The verdict at p from that prime's ``_criterion`` (rule, alpha, beta)."""
+    if alpha is None:
+        return LocalVerdict(p=p, represented=True, rule=rule)
+    c = alpha * N + beta
+    return LocalVerdict(p=p, represented=_diagonal_solvable(coeffs, c, p),
+                        rule=rule, criterion_value=c)
+
+
 def locally_represents_at(form: MgonalForm, N: int, p: int) -> LocalVerdict:
     """Decide representability of N by the form over Z_p."""
     if not is_prime(p):
         raise InputError(f"{p!r} is not prime")
-    return _verdict_at(form, N, p)
-
-
-def _verdict_at(form: MgonalForm, N: int, p: int) -> LocalVerdict:
-    """``locally_represents_at`` for a p already known to be prime."""
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
-    rule, alpha, beta = _criterion(form, p)
-    if alpha is None:
-        return LocalVerdict(p=p, represented=True, rule=rule)
-    c = alpha * N + beta
-    represented = _diagonal_solvable(form.coeffs, c, p)
-    return LocalVerdict(p=p, represented=represented, rule=rule, criterion_value=c)
+    return _verdict(form.coeffs, N, p, *_criterion(form, p))
 
 
 @lru_cache(maxsize=1024)
@@ -122,15 +121,31 @@ def relevant_primes(form: MgonalForm) -> tuple[int, ...]:
     return tuple(sorted(primes))
 
 
+@lru_cache(maxsize=1024)
+def _criteria(form: MgonalForm) -> tuple:
+    """(p, rule, alpha, beta) per relevant prime, ascending in p, from
+    ``_criterion``: the per-form part of every local verdict."""
+    return tuple((p, *_criterion(form, p)) for p in relevant_primes(form))
+
+
 def locally_represents(form: MgonalForm, N: int) -> LocalRepresentation:
     """Conjunction of the per-prime verdicts over the relevant primes."""
-    verdicts = []
-    ok = True
-    for p in relevant_primes(form):
-        v = _verdict_at(form, N, p)
-        verdicts.append(v)
-        ok = ok and v.represented
-    return LocalRepresentation(represented=ok, verdicts=tuple(verdicts))
+    criteria = _criteria(form)
+    if N < 0:
+        raise InputError(f"target must be nonnegative, got {N}")
+    verdicts = tuple(_verdict(form.coeffs, N, *c) for c in criteria)
+    return LocalRepresentation(represented=all(v.represented for v in verdicts),
+                               verdicts=verdicts)
+
+
+def _locally_represented(form: MgonalForm, N: int) -> bool:
+    """``locally_represents(form, N).represented`` for N >= 0, with no verdict
+    objects; it stops at the first prime that fails."""
+    coeffs = form.coeffs
+    for p, _, alpha, beta in _criteria(form):
+        if alpha is not None and not _diagonal_solvable(coeffs, alpha * N + beta, p):
+            return False
+    return True
 
 
 def local_flags(form: MgonalForm, bound: int) -> bytes:
@@ -138,8 +153,7 @@ def local_flags(form: MgonalForm, bound: int) -> bytes:
     one periodic residue pattern per prime, combined by AND."""
     n = bound + 1
     flags = int.from_bytes(b"\x01" * n, "big")
-    for p in relevant_primes(form):
-        _, alpha, beta = _criterion(form, p)
+    for p, _, alpha, beta in _criteria(form):
         if alpha is not None:
             run = _diagonal_solvable_run(form.coeffs, p, alpha, beta, n)
             flags &= int.from_bytes(run, "big")

@@ -150,6 +150,13 @@ def _term_table(m: int, a: int, cap: int):
     return values[:n], dict(zip(values[:n], xs))
 
 
+@lru_cache(maxsize=512)
+def _suffix_gcds(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry i is gcd(coeffs[i+1:]), for i < len(coeffs) - 1: every sum of
+    the terms after position i is a multiple of it."""
+    return tuple(coefficient_gcd(coeffs[i:]) for i in range(1, len(coeffs)))
+
+
 def represents(form: MgonalForm, N: int) -> Witness | None:
     """A verified witness for form = N over the integers, or None.
 
@@ -178,19 +185,21 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
     if form.rank >= 3:
-        from .localrep import locally_represents  # localrep imports this module
-        if not locally_represents(form, N):
+        from .localrep import _locally_represented  # localrep imports this module
+        if not _locally_represented(form, N):
             return None
-    # one table per power-of-two cap serves every target below it
-    cap = 1 << N.bit_length()
+    # one table per cap = 16^k serves every target in [cap/16, cap): a table
+    # that runs past N gives the same search, since the values above the
+    # remainder are cut by bisection and the last coordinate is looked up
+    # only at values <= N
+    cap = 1 << (N.bit_length() + 3) // 4 * 4
     tables = [_term_table(form.m, a, cap) for a in form.coeffs]
     get = tables.pop()[1].get  # the last coordinate, by its value
     if not tables:
         x = get(N)
         return None if x is None else Witness((x,))
     final = len(tables) - 1
-    # every sum of the terms after position i is a multiple of gcds[i]
-    gcds = [coefficient_gcd(form.coeffs[i + 1:]) for i in range(final + 1)]
+    gcds = _suffix_gcds(form.coeffs)
 
     def walk(i: int, rem: int):
         values, x_of = tables[i]

@@ -225,6 +225,31 @@ def test_witnesses_use_the_census_tables():
     assert _term_table.cache_info().misses == before
 
 
+def _shifted_witness(report, N):
+    """The witness read back through the reach stages by shifting each whole
+    stage integer: the reconstruction ``witness`` made before its byte views."""
+    if not report.locally_represented(N) or N in report.exceptional:
+        return None
+    form, rem, out = report.form, N, []
+    for i in range(form.rank - 1, -1, -1):
+        values, x_of = _term_table(form.m, form.coeffs[i], report.bound)
+        v = next(v for v in reversed(values)
+                 if v <= rem and (report._stages[i] >> (rem - v)) & 1)
+        out.append(x_of[v])
+        rem -= v
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("m, coeffs", [(5, (1, 2, 3, 4, 5)), (10, (1, 1, 1, 2, 4))])
+def test_witnesses_match_the_shifted_stages(m, coeffs):
+    form = MgonalForm(m, coeffs)
+    report = exceptional_set(form, 2000)
+    for n in range(2001):
+        w = report.witness(n)
+        assert w == _shifted_witness(report, n), n
+        assert w is None or evaluate(form, w) == n
+
+
 def test_report_csv():
     form = MgonalForm(4, (1, 1, 1, 8))
     with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from mgonal import (
     represents,
 )
 from mgonal.arith import legendre_symbol
-from mgonal.localrep import UNIMODULAR_SHORTCUT
+from mgonal.localrep import UNIMODULAR_SHORTCUT, _locally_represented, local_flags
 from mgonal.quadratic import _diagonal_solvable
 
 from oracles import (
@@ -77,6 +78,41 @@ def test_verdict_json():
     v = locally_represents_at(form, 10, 3)
     data = json.loads(json.dumps(v.to_json()))
     assert data["p"] == 3 and data["represented"] is True and data["rule"] == 1
+
+
+def test_local_paths_agree():
+    # the search's bool-only check, the verdict objects and the census flags
+    # read one cached criterion per form: they must agree at every N, and
+    # with the per-prime verdicts at primes outside the relevant set too
+    rng = random.Random(56)
+    rules = set()
+    obstructed = 0
+    bound = 3000
+    for _ in range(16):
+        rank = rng.randint(3, 5)
+        coeffs = [rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 25))
+                  for _ in range(rank)]
+        coeffs[rng.randrange(rank)] = 1
+        form = MgonalForm(rng.randint(3, 30), tuple(coeffs))
+        flags = local_flags(form, bound)
+        # every prime of 2(m-2)a_1...a_n, and 3, 5, 7 for the shortcut
+        primes = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                  if p <= 7 or 2 * (form.m - 2) * math.prod(coeffs) % p == 0]
+        for N in range(bound + 1):
+            agg = locally_represents(form, N)
+            assert _locally_represented(form, N) is agg.represented, (form, N)
+            assert flags[N] == agg.represented, (form, N)
+            obstructed += not agg.represented
+            if N % 10 == 0:
+                at = [locally_represents_at(form, N, p) for p in primes]
+                assert all(v.represented for v in at) is agg.represented, (form, N)
+                rules.update(v.rule for v in at)
+        with pytest.raises(InputError):
+            locally_represents(form, -1)
+        with pytest.raises(InputError):
+            represents(form, -1)
+    assert rules == {1, 2, 3, 4, UNIMODULAR_SHORTCUT}
+    assert obstructed > 0
 
 
 def test_oracle_equivalence_random():

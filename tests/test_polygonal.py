@@ -213,6 +213,28 @@ class TestRepresents:
                 interior += len(coeffs) >= 3 and max(later[:-1]) > 1
         assert exhausted > 0 and interior > 0
 
+    def test_witnesses_at_table_cap_boundaries(self):
+        # the tables are fetched at cap = 16^k for every target in
+        # [16^(k-1), 16^k): targets on either side of each power of two give
+        # the reference witnesses, and a second target in the same range
+        # builds no table
+        forms = ((16, (1, 3, 9, 27, 27)), (14, (1, 5, 25, 25, 25)),
+                 (12, (2, 3, 5, 7, 11)), (11, (1, 3, 9, 9, 27)), (4, (1, 3, 7)))
+        for m, coeffs in forms:
+            form = MgonalForm(m, coeffs)
+            expected = first_witnesses(form, 2**12 + 1)
+            _term_table.cache_clear()
+            first = next(N for N in range(2**8 + 1, 2**12) if expected[N])
+            last = next(N for N in range(2**12 - 1, 2**8, -1) if expected[N])
+            assert represents(form, first).x == expected[first]
+            misses = _term_table.cache_info().misses
+            assert represents(form, last).x == expected[last]
+            assert _term_table.cache_info().misses == misses, (form, first, last)
+            for k in range(13):
+                for N in (2**k - 1, 2**k, 2**k + 1):
+                    w = represents(form, N)
+                    assert (None if w is None else w.x) == expected[N], (form, N)
+
     def test_not_represented(self):
         # <2,3>_4: 2x^2 + 3y^2 never equals 1
         assert represents(MgonalForm(4, (2, 3)), 1) is None
