@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .arith import bit_bytes
 from .errors import InputError, ResourceError
-from .localrep import local_flags, locally_represents
+from .localrep import local_bits, locally_represents
 from .polygonal import MgonalForm, _term_table, decompose_target
 from .serialize import json_int
 
@@ -37,6 +37,16 @@ def _term_values(m: int, a: int, bound: int) -> list[int]:
     return _term_table(m, a, bound)[0]
 
 
+def _term_bits(m: int, a: int, bound: int) -> int:
+    """The bitset of the values a*P_m(x) <= bound: the bits set in one
+    little-endian byte buffer and read as an integer once, where shifting 1
+    by each value would OR every value into a full-width integer."""
+    buf = bytearray((bound >> 3) + 1)
+    for v in _term_values(m, a, bound):
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _add_term(reach: int, m: int, a: int, bound: int) -> int:
     """The bitset of the sums s + a*P_m(x) <= bound over s in ``reach``."""
     out = 0
@@ -53,8 +63,8 @@ def _reach_stages(form: MgonalForm, bound: int) -> list[int]:
     reachable), for i = 0..rank-1.  The last term is left to
     ``exceptional_set``, which probes it at the N the others miss, or sweeps
     its stage when those N outnumber its values."""
-    reach = [1]
-    for a in form.coeffs[:-1]:
+    reach = [1, _term_bits(form.m, form.coeffs[0], bound)]
+    for a in form.coeffs[1:-1]:
         reach.append(_add_term(reach[-1], form.m, a, bound))
     return reach
 
@@ -85,7 +95,7 @@ class ExceptionalReport:
     max_exceptional: int | None
     timings: dict
     _stages: list  # reach stages 0..rank-1 (``_reach_stages``)
-    _local: bytes
+    _local_bits: int  # the local flags as one integer (``localrep.local_bits``)
 
     def witness(self, N: int) -> tuple[int, ...] | None:
         """Witness for a represented N <= bound, else None.
@@ -117,6 +127,12 @@ class ExceptionalReport:
             else:  # pragma: no cover - stages guarantee a decomposition
                 raise ResourceError("witness reconstruction failed")
         return tuple(reversed(out))
+
+    @cached_property
+    def _local(self) -> bytes:
+        """Byte N is 1 iff N is locally represented (``local_flags``), built
+        on the first call that reads a flag."""
+        return self._local_bits.to_bytes(self.bound + 1, "big")
 
     @cached_property
     def _stage_views(self) -> list[bytes]:
@@ -175,7 +191,7 @@ def exceptional_set(form: MgonalForm, bound: int, *,
 
     The represented side is a complete subset-sum reachability table over the
     (nonnegative) term values, so every verdict below the bound is exact; the
-    local side is one periodic residue pattern per prime (``local_flags``).
+    local side is one periodic residue pattern per prime (``local_bits``).
     The table stops one term short, at the sums of the first rank-1 terms.
     The candidates are the locally represented N that it misses.  When they
     are no more than the distinct values of the last term, each is decided by
@@ -202,11 +218,10 @@ def exceptional_set(form: MgonalForm, bound: int, *,
     t0 = time.perf_counter()
     stages = _reach_stages(form, bound)
     t1 = time.perf_counter()
-    local = local_flags(form, bound)
+    local = local_bits(form, bound)  # one bit per flag byte
     t2 = time.perf_counter()
     n = bound + 1
-    local_bits = int.from_bytes(local, "big")  # one bit per flag byte
-    locally_represented_count = local_bits.bit_count()
+    locally_represented_count = local.bit_count()
     # Reach lies within local, so the candidates number the difference of
     # the counts, and local ^ reach (no negative int to copy) is local & ~reach.
     reach = stages[-1]
@@ -218,7 +233,7 @@ def exceptional_set(form: MgonalForm, bound: int, *,
         sweep_s = time.perf_counter() - ts
         last = []  # every term is in reach: nothing left to probe
     view = bit_bytes(reach, n)
-    candidates = local_bits ^ int.from_bytes(view, "big")
+    candidates = local ^ int.from_bytes(view, "big")
     exceptional = tuple(
         N for N in _ones(candidates.to_bytes(n, "big"))
         if not any(view[N - v] for v in last[:bisect_right(last, N)])
@@ -241,7 +256,7 @@ def exceptional_set(form: MgonalForm, bound: int, *,
             "total_seconds": round(reach_s + local_s + extract_s, 6),
         },
         _stages=stages,
-        _local=local,
+        _local_bits=local,
     )
 
 

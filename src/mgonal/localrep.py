@@ -148,13 +148,21 @@ def _locally_represented(form: MgonalForm, N: int) -> bool:
     return True
 
 
-def local_flags(form: MgonalForm, bound: int) -> bytes:
-    """Byte N is 1 iff ``locally_represents(form, N)``, for 0 <= N <= bound:
-    one periodic residue pattern per prime, combined by AND."""
+def local_bits(form: MgonalForm, bound: int) -> int:
+    """``local_flags(form, bound)`` read as one big-endian integer: byte N of
+    the flags is the byte bound - N of the integer, 1 iff N is locally
+    represented.  One periodic residue pattern per prime, combined by AND,
+    starting from the first prime's pattern."""
     n = bound + 1
-    flags = int.from_bytes(b"\x01" * n, "big")
+    flags = None
     for p, _, alpha, beta in _criteria(form):
         if alpha is not None:
-            run = _diagonal_solvable_run(form.coeffs, p, alpha, beta, n)
-            flags &= int.from_bytes(run, "big")
-    return flags.to_bytes(n, "big")
+            run = int.from_bytes(
+                _diagonal_solvable_run(form.coeffs, p, alpha, beta, n), "big")
+            flags = run if flags is None else flags & run
+    return int.from_bytes(b"\x01" * n, "big") if flags is None else flags
+
+
+def local_flags(form: MgonalForm, bound: int) -> bytes:
+    """Byte N is 1 iff ``locally_represents(form, N)``, for 0 <= N <= bound."""
+    return local_bits(form, bound).to_bytes(bound + 1, "big")

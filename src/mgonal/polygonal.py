@@ -150,6 +150,49 @@ def _term_table(m: int, a: int, cap: int):
     return values[:n], dict(zip(values[:n], xs))
 
 
+def _descent(m: int, a: int, t: int):
+    """The pairs (v, x) of ``_term_table(m, a, cap)`` with v <= t, for any
+    cap >= t, largest v first, with no table.
+
+    The largest k >= 0 with P_m(k) <= q = t // a is the floor of the positive
+    root of (m-2)x^2 - (m-4)x - 2q, and one ``isqrt`` gives it exactly, since
+    floor((c + r) / e) = floor((c + floor(r)) / e) for integers c and e > 0.
+    Below it the values descend as in ``_term_table`` read backwards: for
+    m >= 5, P_m(-x) then P_m(x) for x = k, ..., 1 (P_m(-k) may pass q, every
+    later P_m(-x) < P_m(k) does not); for m = 3 and 4, P_m(x) alone.
+    """
+    d = m - 2
+    q = t // a
+    k = (m - 4 + math.isqrt((m - 4) ** 2 + 8 * d * q)) // (2 * d)
+    for x in range(k, 0, -1):
+        if m > 4:
+            v = d * (x * x + x) // 2 - x  # P_m(-x)
+            if v <= q:
+                yield a * v, -x
+        yield a * (d * (x * x - x) // 2 + x), x
+    yield 0, 0
+
+
+def _cap(rem: int) -> int:
+    """The least power of 16 above ``rem``: one table up to it serves every
+    remainder in [cap/16, cap)."""
+    return 1 << (rem.bit_length() + 3) // 4 * 4
+
+
+@lru_cache(maxsize=512)
+def _residue_groups(m: int, a: int, cap: int, g: int):
+    """``_term_table(m, a, cap)`` with its values split by residue mod g,
+    each list ascending.  A dict keyed by residue, not a list of g buckets:
+    g can be far larger than the number of values."""
+    values, x_of = _term_table(m, a, cap)
+    if g == 1:
+        return {0: values}, x_of
+    groups: dict[int, list[int]] = {}
+    for v in values:
+        groups.setdefault(v % g, []).append(v)
+    return groups, x_of
+
+
 @lru_cache(maxsize=512)
 def _suffix_gcds(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Entry i is gcd(coeffs[i+1:]), for i < len(coeffs) - 1: every sum of
@@ -181,6 +224,14 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     target costs an orbit lookup per prime, a represented one ends at its
     first witness, and only an exceptional one (locally represented, not
     represented) exhausts the region.
+
+    The work follows the remainders, not N.  The first coordinate's values
+    come in closed form (``_descent``), with no table.  Every later
+    coordinate reads the values <= its remainder in the remainder's residue
+    class mod g, in place, from a table sized by that remainder (``_cap``,
+    ``_residue_groups``), fetched once per query.  A large represented N
+    usually has a witness near the top of the first coordinate, so the
+    remainders below it, and the tables they read, stay small.
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
@@ -188,39 +239,61 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
         from .localrep import _locally_represented  # localrep imports this module
         if not _locally_represented(form, N):
             return None
-    # one table per cap = 16^k serves every target in [cap/16, cap): a table
-    # that runs past N gives the same search, since the values above the
-    # remainder are cut by bisection and the last coordinate is looked up
-    # only at values <= N
-    cap = 1 << (N.bit_length() + 3) // 4 * 4
-    tables = [_term_table(form.m, a, cap) for a in form.coeffs]
-    get = tables.pop()[1].get  # the last coordinate, by its value
-    if not tables:
-        x = get(N)
+    m, coeffs = form.m, form.coeffs
+    if len(coeffs) == 1:
+        x = _term_table(m, coeffs[0], _cap(N))[1].get(N)
         return None if x is None else Witness((x,))
-    final = len(tables) - 1
-    gcds = _suffix_gcds(form.coeffs)
-
-    def walk(i: int, rem: int):
-        values, x_of = tables[i]
-        # the values <= rem, largest first (values[0] = 0 <= rem); a value
-        # that two x share is tried once, since its subtree is the same
-        below = values[bisect_right(values, rem) - 1::-1]
-        g = gcds[i]
-        if g > 1:
-            r = rem % g
-            below = [v for v in below if v % g == r]
-        if i == final:
-            for v in below:
-                y = get(rem - v)
-                if y is not None:
-                    return x_of[v], y
-            return None
-        for v in below:
-            tail = walk(i + 1, rem - v)
+    gcds = _suffix_gcds(coeffs)
+    # one level per searched coordinate after the first, with the tables it
+    # has fetched by cap, so that a query fetches each table once; the last
+    # level's tables hold the last term's value -> x map too.  At rank 2 the
+    # first coordinate is the last searched one.
+    n = len(coeffs) - 1
+    levels = [(m, coeffs[i], gcds[i], coeffs[n] if i == n - 1 else None, {})
+              for i in range(1, n)]
+    get = None if levels else _term_table(m, coeffs[n], _cap(N))[1].get
+    g, r = gcds[0], N % gcds[0]
+    for v, x in _descent(m, coeffs[0], N):
+        if v % g != r:
+            continue
+        if get is not None:
+            y = get(N - v)
+            if y is not None:
+                return Witness((x, y))
+        else:
+            tail = _walk(levels, 0, N - v)
             if tail is not None:
-                return (x_of[v],) + tail
-        return None
+                return Witness((x,) + tail)
+    return None
 
-    sol = walk(0, N)
-    return Witness(sol) if sol is not None else None
+
+def _walk(levels, j: int, rem: int):
+    """The coordinates of a solution for rem from the one of ``levels[j]``
+    on, or None.  A level is (m, a, g, the last coefficient at the last
+    searched coordinate else None, its tables by cap)."""
+    m, a, g, last, tables = levels[j]
+    cap = 1 << (rem.bit_length() + 3) // 4 * 4  # _cap(rem), inlined
+    table = tables.get(cap)
+    if table is None:
+        groups, x_of = _residue_groups(m, a, cap, g)
+        get = None if last is None else _term_table(m, last, cap)[1].get
+        table = tables[cap] = groups, x_of, get
+    groups, x_of, get = table
+    # the values <= rem that leave a multiple of g, largest first, read in
+    # place; a value that two x share is tried once, since its subtree is
+    # the same
+    values = groups.get(rem % g, ())
+    indices = range(bisect_right(values, rem) - 1, -1, -1)
+    if get is not None:
+        for i in indices:
+            v = values[i]
+            y = get(rem - v)
+            if y is not None:
+                return x_of[v], y
+        return None
+    for i in indices:
+        v = values[i]
+        tail = _walk(levels, j + 1, rem - v)
+        if tail is not None:
+            return (x_of[v],) + tail
+    return None

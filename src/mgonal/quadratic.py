@@ -18,7 +18,6 @@ from .arith import (
     is_padic_square,
     legendre_symbol,
     modinv,
-    ord_and_unit,
     ordp,
     unit_square_class_reps,
 )
@@ -197,7 +196,8 @@ def _diagonal_solvable(coeffs: tuple[int, ...], c: int, p: int) -> bool:
     if c == 0:
         return True
     v0, orbits = _unit_reachable(coeffs, p)
-    v, u = ord_and_unit(c, p)
+    v = _ord(c, p)  # _unit_reachable has checked that p is prime
+    u = c // p ** v
     while v >= v0:
         v -= 2
     return (v, _square_class(u, p)) in orbits

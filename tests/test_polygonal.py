@@ -78,6 +78,20 @@ def test_term_tables_against_enumeration():
                 assert all(x == invert_polygonal(m, v // a) for v, x in x_of.items())
 
 
+def test_descent_matches_the_term_tables():
+    # the first coordinate's closed form yields the values <= t of a table,
+    # largest first, with the table's x; each t on either side of a value
+    # catches a root that is off by one
+    for m in (3, 4, 5, 6, 16):
+        for a in (1, 2, 27, 2048, 10**9 + 7):
+            values, x_of = _term_table(m, a, max(2**16, a))
+            ts = {0, a - 1, a} | {t for v in values if v <= 2**16
+                                  for t in (v - 1, v, v + 1) if t >= 0}
+            for t in sorted(ts):
+                below = [(v, x_of[v]) for v in reversed(values) if v <= t]
+                assert list(polygonal._descent(m, a, t)) == below, (m, a, t)
+
+
 def test_form_validation():
     with pytest.raises(InputError):
         MgonalForm(5, (2, 4, 6, 8, 10))
@@ -175,8 +189,9 @@ class TestRepresents:
         # every value that leaves a remainder the later terms cannot reach.
         # Witnesses come from the reference order; an exhausted search must
         # visit exactly the prefixes whose remainder the gcd of the later
-        # coefficients divides.  Each node of the search bisects its table
-        # once, so counting bisections counts nodes, once the tables (which
+        # coefficients divides.  The root walks its values in closed form,
+        # and every other node bisects its residue class once, so counting
+        # bisections counts the nodes below the root, once the tables (which
         # bisect when built) are cached
         nodes = 0
 
@@ -208,28 +223,57 @@ class TestRepresents:
                     rems = [r - v for r in rems for v in vals
                             if v <= r and (r - v) % g == 0]
                     expected += len(rems)
-                assert nodes == expected, (form, N)
+                assert 1 + nodes == expected, (form, N)
                 exhausted += 1
                 interior += len(coeffs) >= 3 and max(later[:-1]) > 1
         assert exhausted > 0 and interior > 0
 
-    def test_witnesses_at_table_cap_boundaries(self):
-        # the tables are fetched at cap = 16^k for every target in
+    def test_witnesses_at_m3_and_m4(self):
+        # where x and -x (m = 4) or x and -x-1 (m = 3) share a value, the
+        # first coordinate's closed form must keep the table's x; some forms
+        # test a gcd > 1 at the first coordinate
+        for m in (3, 4):
+            for coeffs in ((1,), (2, 1), (1, 2, 4), (3, 1, 2), (1, 1, 1),
+                           (2, 3, 6, 6), (1, 4, 4, 8), (5, 1, 1, 2, 3)):
+                form = MgonalForm(m, coeffs)
+                for N, x in enumerate(first_witnesses(form, 400)):
+                    w = represents(form, N)
+                    assert (None if w is None else w.x) == x, (form, N)
+
+    def test_witnesses_at_table_cap_boundaries(self, monkeypatch):
+        # the tables are fetched at cap = 16^k for each remainder in
         # [16^(k-1), 16^k): targets on either side of each power of two give
-        # the reference witnesses, and a second target in the same range
-        # builds no table
+        # the reference witnesses.  No table serves the first coordinate, the
+        # largest cap fetched is the one of the largest remainder the first
+        # coordinate leaves (its witness value's), not of N, and each table is
+        # fetched once per query, not once per node
+        fetched = []
+
+        def recording(fn):
+            def record(m, a, cap, *g):
+                fetched.append((a, cap))
+                return fn(m, a, cap, *g)
+            return record
+
+        monkeypatch.setattr(polygonal, "_residue_groups",
+                            recording(polygonal._residue_groups))
+        monkeypatch.setattr(polygonal, "_term_table", recording(_term_table))
         forms = ((16, (1, 3, 9, 27, 27)), (14, (1, 5, 25, 25, 25)),
                  (12, (2, 3, 5, 7, 11)), (11, (1, 3, 9, 9, 27)), (4, (1, 3, 7)))
         for m, coeffs in forms:
             form = MgonalForm(m, coeffs)
             expected = first_witnesses(form, 2**12 + 1)
-            _term_table.cache_clear()
             first = next(N for N in range(2**8 + 1, 2**12) if expected[N])
             last = next(N for N in range(2**12 - 1, 2**8, -1) if expected[N])
-            assert represents(form, first).x == expected[first]
-            misses = _term_table.cache_info().misses
-            assert represents(form, last).x == expected[last]
-            assert _term_table.cache_info().misses == misses, (form, first, last)
+            for N in (first, last):
+                assert represents(form, N).x == expected[N]
+                fetched.clear()  # again, warm: a cached table fetches no other
+                assert represents(form, N).x == expected[N]
+                rest = N - coeffs[0] * polygonal_number(m, expected[N][0])
+                assert all(a != coeffs[0] for a, _ in fetched), (form, N)
+                caps = {cap for _, cap in fetched}
+                assert max(caps) == polygonal._cap(rest), (form, N)
+                assert len(fetched) <= (len(coeffs) - 1) * len(caps), (form, N)
             for k in range(13):
                 for N in (2**k - 1, 2**k, 2**k + 1):
                     w = represents(form, N)
