@@ -10,7 +10,7 @@ import sys
 import time
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -94,8 +94,10 @@ class ExceptionalReport:
     represented_count: int
     max_exceptional: int | None
     timings: dict
-    _stages: list  # reach stages 0..rank-1 (``_reach_stages``)
-    _local_bits: int  # the local flags as one integer (``localrep.local_bits``)
+    # reach stages (``_reach_stages``) and local flags (``localrep.local_bits``),
+    # kept out of the repr: an int past 4300 digits has no decimal repr
+    _stages: list = field(repr=False)
+    _local_bits: int = field(repr=False)
 
     def witness(self, N: int) -> tuple[int, ...] | None:
         """Witness for a represented N <= bound, else None.
@@ -130,8 +132,8 @@ class ExceptionalReport:
 
     @cached_property
     def _local(self) -> bytes:
-        """Byte N is 1 iff N is locally represented (``local_flags``), built
-        on the first call that reads a flag."""
+        """Byte N is 1 iff N is locally represented (``localrep.local_bits``),
+        built on the first call that reads a flag."""
         return self._local_bits.to_bytes(self.bound + 1, "big")
 
     @cached_property

@@ -149,10 +149,10 @@ def _locally_represented(form: MgonalForm, N: int) -> bool:
 
 
 def local_bits(form: MgonalForm, bound: int) -> int:
-    """``local_flags(form, bound)`` read as one big-endian integer: byte N of
-    the flags is the byte bound - N of the integer, 1 iff N is locally
-    represented.  One periodic residue pattern per prime, combined by AND,
-    starting from the first prime's pattern."""
+    """The local flags for 0 <= N <= bound as one big-endian integer: in
+    ``to_bytes(bound + 1, "big")`` byte N is 1 iff ``locally_represents(form,
+    N)``.  One periodic residue pattern per prime, combined by AND, starting
+    from the first prime's pattern."""
     n = bound + 1
     flags = None
     for p, _, alpha, beta in _criteria(form):
@@ -161,8 +161,3 @@ def local_bits(form: MgonalForm, bound: int) -> int:
                 _diagonal_solvable_run(form.coeffs, p, alpha, beta, n), "big")
             flags = run if flags is None else flags & run
     return int.from_bytes(b"\x01" * n, "big") if flags is None else flags
-
-
-def local_flags(form: MgonalForm, bound: int) -> bytes:
-    """Byte N is 1 iff ``locally_represents(form, N)``, for 0 <= N <= bound."""
-    return local_bits(form, bound).to_bytes(bound + 1, "big")

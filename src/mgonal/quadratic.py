@@ -566,7 +566,6 @@ def jordan_decompose(A, ctx: PAdicContext) -> JordanDecomposition:
 # ---------------------------------------------------------------------------
 
 EQ2_PRIMITIVE = "primitively-solvable"
-EQ2_SOLVABLE = "solvable"
 EQ2_UNSOLVABLE = "unsolvable"
 EQ2_UNKNOWN = "unsolvable-within-strata"
 
@@ -574,7 +573,7 @@ EQ2_UNKNOWN = "unsolvable-within-strata"
 #: Precision that ``eq2_context`` adds on top of the stability depth.
 EQ2_MARGIN = 4
 
-#: Cap on the nodes of one level of a stratum walk, on the prefixes that
+#: Cap on the nodes of one level of the eq2 walk, on the prefixes that
 #: ``_eq2_roots`` scans, and on the square of the deepest congruence modulus.
 EQ2_NODE_BUDGET = 250_000
 
@@ -584,17 +583,16 @@ EQ2_CONGRUENCE_CEILING = 700_000
 
 @dataclass(frozen=True)
 class Eq2Verdict:
-    """Outcome of the stratified solvability search.
+    """Outcome of the primitive solvability search at one scale.
 
-    min_order is the smallest min-coordinate valuation found (0 for a
-    primitive witness; None when only the zero solution is known).
-    "unsolvable-within-strata" means that no stratum certified and no
-    disproof held.  budget_exhausted says that some level of a stratum walk
-    was over ``EQ2_NODE_BUDGET``; it is False on an unsolvable verdict.
+    status is ``EQ2_PRIMITIVE`` with a primitive witness mod p^precision,
+    ``EQ2_UNSOLVABLE`` (no primitive solution at this scale) or
+    ``EQ2_UNKNOWN`` (the walk was cut or reached the precision, and no
+    disproof held).  budget_exhausted says that some level of the walk was
+    over ``EQ2_NODE_BUDGET``; it is False on an unsolvable verdict.
     """
 
     status: str
-    min_order: int | None
     witness: tuple[int, ...] | None
     precision: int
     budget_exhausted: bool
@@ -668,26 +666,26 @@ def _refine_eq2(c, R, scale, a1, tail, y, i, p, prec):
     raise ContractError("auxiliary equation refinement did not converge")  # pragma: no cover
 
 
-def _eq2_roots(c, R, eff, a1, tail, p):
+def _eq2_roots(c, R, scale, a1, tail, p):
     """The y mod p where the reduced equation's value is 0 mod p, in
     lexicographic order, at an odd prime p.
 
-    Once the first n-1 coordinates are fixed (lin0 = c - eff*s0 and q0 from
-    their sums), the value is a quadratic in the last one z:
-    a z^2 + b z + k with a = eff^2 t_n (t_n + a_1), b = -2 lin0 eff t_n and
-    k = lin0^2 + eff^2 a_1 q0 - R.  Its roots are yielded in ascending z,
+    Once the first n-1 coordinates are fixed (lin0 = c - scale*s0 and q0
+    from their sums), the value is a quadratic in the last one z:
+    a z^2 + b z + k with a = scale^2 t_n (t_n + a_1), b = -2 lin0 scale t_n
+    and k = lin0^2 + scale^2 a_1 q0 - R.  Its roots are yielded in ascending z,
     with a table of square roots mod p; when a = b = 0 every z is a root if
     k is and none is otherwise.  At most ``EQ2_NODE_BUDGET`` prefixes are
     scanned; when that cuts the scan short, None follows the roots.
     """
     n = len(tail)
-    eff %= p
-    if eff == 0 or not any(t % p for t in tail):  # the value is c^2 - R mod p
+    scale %= p
+    if scale == 0 or not any(t % p for t in tail):  # the value is c^2 - R mod p
         if (c * c - R) % p == 0:
             yield from product(range(p), repeat=n)
         return
     *head, tn = tail
-    a = eff * eff * tn * (tn + a1) % p
+    a = scale * scale * tn * (tn + a1) % p
     if a:
         inv2a = pow(2 * a, -1, p)
         sqrt = [-1] * p
@@ -699,9 +697,9 @@ def _eq2_roots(c, R, eff, a1, tail, p):
             ty = t * yi
             s0 += ty
             q0 += ty * yi
-        lin0 = c - eff * s0
-        b = -2 * lin0 * eff * tn % p
-        k = (lin0 * lin0 + eff * eff * a1 * q0 - R) % p
+        lin0 = c - scale * s0
+        b = -2 * lin0 * scale * tn % p
+        k = (lin0 * lin0 + scale * scale * a1 * q0 - R) % p
         if a:
             r = sqrt[(b * b - 4 * a * k) % p]
             if r < 0:
@@ -720,7 +718,7 @@ def _eq2_roots(c, R, eff, a1, tail, p):
         yield None
 
 
-def _certify(y, val, lin, lead, eff_a1, p):
+def _certify(y, val, lin, lead, scale_a1, p):
     """(y, i) when the node y certifies, else None.
 
     With t the smallest valuation of a nonzero derivative (i its first
@@ -729,7 +727,7 @@ def _certify(y, val, lin, lead, eff_a1, p):
     valuation v is first tested against p^((v+1)//2): unless some
     derivative is nonzero modulo it, t is too large, and the node is
     rejected before any derivative valuation is taken."""
-    derivs = [lt * (eff_a1 * yi - lin) for lt, yi in zip(lead, y)]
+    derivs = [lt * (scale_a1 * yi - lin) for lt, yi in zip(lead, y)]
     if val:
         cut = p ** ((_ord(val, p) + 1) // 2)
         if not any(d % cut for d in derivs):
@@ -743,12 +741,12 @@ def _certify(y, val, lin, lead, eff_a1, p):
     return (y, None if best is None else lift)
 
 
-def _stratum_search(c, R, eff, a1, tail, p, depth, refuted):
-    """Certified congruence walk for solutions x = p^sigma y, y primitive,
-    eff = scale * p^sigma.  Returns (outcome, budget_exhausted_flag): the
-    first certified node as (witness_y, lift_coordinate_or_None); None when
-    the walk proves the stratum empty; ``EQ2_UNSOLVABLE`` when ``refuted``
-    disproved the equation; else ``EQ2_UNKNOWN``.
+def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
+    """Certified congruence walk for primitive solutions y.  Returns
+    (outcome, budget_exhausted_flag): the first certified node as
+    (witness_y, lift_coordinate_or_None); ``EQ2_UNSOLVABLE`` when the walk
+    proves that no primitive solution exists or ``refuted`` disproved the
+    equation; else ``EQ2_UNKNOWN``.
 
     Level 1 holds the nonzero y mod p with value = 0 mod p: the roots from
     ``_eq2_roots`` at an odd p, the 2^n residues filtered at p = 2.  Level
@@ -760,8 +758,8 @@ def _stratum_search(c, R, eff, a1, tail, p, depth, refuted):
     unit gradient would have certified), so a node's children all satisfy
     the next congruence level or none do, and the residues of a primitive
     solution survive every level until one certifies: a walk with no cut
-    that runs out of survivors, at any level up to ``depth``, proves the
-    stratum empty.  Between levels the walk asks ``refuted(size)``, size
+    that runs out of survivors, at any level up to ``depth``, proves that
+    there is none.  Between levels the walk asks ``refuted(size)``, size
     being the next level's full node count (0 after the last level).
 
     Children are generated lazily in lexicographic order, so the first
@@ -770,11 +768,11 @@ def _stratum_search(c, R, eff, a1, tail, p, depth, refuted):
     derivative come from them.
     """
     n = len(tail)
-    lead = [2 * eff * t for t in tail]
-    eff_a1 = eff * a1
+    lead = [2 * scale * t for t in tail]
+    scale_a1 = scale * a1
     budget_hit = False
     nodes = product(range(2), repeat=n) if p == 2 else \
-        _eq2_roots(c, R, eff, a1, tail, p)
+        _eq2_roots(c, R, scale, a1, tail, p)
     plevel = p
     for level in count(1):
         survivors = []
@@ -783,19 +781,19 @@ def _stratum_search(c, R, eff, a1, tail, p, depth, refuted):
             if seen == EQ2_NODE_BUDGET or y is None:  # a cut level
                 budget_hit = True
                 break
-            val, lin = _eq2_terms(c, R, eff, a1, tail, y)
+            val, lin = _eq2_terms(c, R, scale, a1, tail, y)
             if level == 1 and (val % p or not any(y)):  # p = 2 yields every y
                 continue
-            found = _certify(y, val, lin, lead, eff_a1, p)
+            found = _certify(y, val, lin, lead, scale_a1, p)
             if found is not None:
                 return found, budget_hit
             if val % next_mod == 0:
                 survivors.append(y)
         size = len(survivors) * p ** n if level < depth else 0
-        if refuted(size):
+        if refuted(size) or not (survivors or budget_hit):
             return EQ2_UNSOLVABLE, budget_hit
         if not size:
-            return (EQ2_UNKNOWN if budget_hit or survivors else None), budget_hit
+            return EQ2_UNKNOWN, budget_hit
         budget_hit = budget_hit or size > EQ2_NODE_BUDGET
         steps = range(0, next_mod, plevel)
         nodes = (tuple(map(add, y, step)) for y in survivors
@@ -876,24 +874,22 @@ def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
 
 def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
                     *, scale: int = 1) -> Eq2Verdict:
-    """Classify p-adic solvability of the reduced representation equation
+    """Decide whether the reduced representation equation
 
         (B + k(m-2) - scale * sum_{i>=2} a_i x_i)^2
-            + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1,
+            + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1
 
-    reporting primitivity of (x_2,...,x_n) and the smallest min-coordinate
-    valuation found.  With c and R the two constants and v = ord_p(c^2 - R),
-    the strata sigma = 0, 1, ..., min(ceil(ord_p(a_1)/2)+1, v) are walked by
-    ``_stratum_search``: a solution in stratum sigma has p^sigma | c^2 - R,
-    so no later stratum holds one.  A certified node is a p-adic solution
-    and settles the call.  The equation is unsolvable when a disproof holds
-    or when c^2 != R and every stratum up to v comes out of its walk empty.
-    The disproofs are the exhaustive pair congruence mod p^l2 (l2 from
-    ``_congruence_depth``), tried after level 1 of stratum 0 when no root
-    certified, and mod p^d for d = l2+1, ... while p^(2d) stays within
-    ``EQ2_NODE_BUDGET``, tried once, before a walk expands a level past the
-    budget or else before an undecided verdict.  When c^2 = R the zero
-    solution is reported; otherwise the instance is unsolvable-within-strata.
+    has a p-adic solution with (x_2,...,x_n) primitive, by one walk of
+    ``_stratum_search``.  A certified node is such a solution and gives
+    ``EQ2_PRIMITIVE``.  ``EQ2_UNSOLVABLE`` means no primitive solution at
+    this scale: the walk ran out of survivors or a disproof held.  A
+    solution p^sigma y with y primitive is a primitive solution at scale
+    scale * p^sigma, so a caller asks about it at that scale.  The disproofs
+    are the exhaustive pair congruence mod p^l2 (l2 from
+    ``_congruence_depth``), tried after level 1 when no root certified, and
+    mod p^d for d = l2+1, ... while p^(2d) stays within ``EQ2_NODE_BUDGET``,
+    tried once, before the walk expands a level past the budget or else
+    before an undecided verdict (``EQ2_UNKNOWN``).
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
@@ -914,7 +910,7 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     deeper = list(takewhile(lambda d: p ** (2 * d) <= EQ2_NODE_BUDGET, count(l2 + 1)))
 
     def refuted(size) -> bool:
-        """The walks' check between levels: mod p^l2 at the first call, then
+        """The walk's check between levels: mod p^l2 at the first call, then
         the deeper moduli once, at the first size past the budget."""
         nonlocal first, deeper
         depths, first = first, []
@@ -923,44 +919,20 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
         return any(not _pair_congruence_solvable(c, R, scale, a1, tail, p, d)
                    for d in depths)
 
-    unsolvable = Eq2Verdict(
-        status=EQ2_UNSOLVABLE, min_order=None, witness=None,
-        precision=depth, budget_exhausted=False,
-    )
-    v = INFINITY if c * c == R else _ord(c * c - R, p)
-    cap = (int(ordp(a1, p)) + 1) // 2 + 1
-    budget_hit = undecided = False
-    for sigma in range(min(cap, v) + 1):
-        eff = scale * p ** sigma
-        found, hit = _stratum_search(c, R, eff, a1, tail, p, depth, refuted)
-        budget_hit = budget_hit or hit
-        if found == EQ2_UNSOLVABLE:
-            return unsolvable
-        if found == EQ2_UNKNOWN:
-            undecided = True
-        elif found is not None:
-            y, i = found
-            refined = _refine_eq2(c, R, eff, a1, tail, y, i, p, depth) \
-                if i is not None else tuple(yi % p ** depth for yi in y)
-            modw = p ** depth
-            witness = tuple(p ** sigma * yi % modw for yi in refined)
-            status = EQ2_PRIMITIVE if sigma == 0 else EQ2_SOLVABLE
-            return Eq2Verdict(
-                status=status, min_order=sigma, witness=witness,
-                precision=depth, budget_exhausted=budget_hit,
-            )
-    if c * c == R:
-        return Eq2Verdict(
-            status=EQ2_SOLVABLE, min_order=None,
-            witness=(0,) * (form.rank - 1), precision=depth,
-            budget_exhausted=budget_hit,
-        )
-    if (v <= cap and not undecided) or refuted(INFINITY):
-        return unsolvable
-    return Eq2Verdict(
-        status=EQ2_UNKNOWN, min_order=None, witness=None,
-        precision=depth, budget_exhausted=budget_hit,
-    )
+    found, budget_hit = _stratum_search(c, R, scale, a1, tail, p, depth, refuted)
+    if found == EQ2_UNKNOWN and refuted(INFINITY):
+        found = EQ2_UNSOLVABLE
+    if found == EQ2_UNSOLVABLE:
+        return Eq2Verdict(status=EQ2_UNSOLVABLE, witness=None,
+                          precision=depth, budget_exhausted=False)
+    if found == EQ2_UNKNOWN:
+        return Eq2Verdict(status=EQ2_UNKNOWN, witness=None,
+                          precision=depth, budget_exhausted=budget_hit)
+    y, i = found
+    witness = _refine_eq2(c, R, scale, a1, tail, y, i, p, depth) \
+        if i is not None else tuple(yi % p ** depth for yi in y)
+    return Eq2Verdict(status=EQ2_PRIMITIVE, witness=witness,
+                      precision=depth, budget_exhausted=budget_hit)
 
 
 def eq2_residual(form: MgonalForm, A: int, B: int, k: int, x_tail,

@@ -115,6 +115,7 @@ class PrimeEvidence:
 
     ``k_residue`` is the representative modulo p^(stability exponent) the
     verdict was computed at; by stability it covers the full residue class.
+    The verdict is always primitive, so ``to_json`` writes min_order 0.
     """
 
     p: int
@@ -128,7 +129,7 @@ class PrimeEvidence:
             "s": self.s,
             "k_residue": json_int(self.k_residue),
             "status": self.verdict.status,
-            "min_order": self.verdict.min_order,
+            "min_order": 0,
             "precision": self.verdict.precision,
             "witness": [json_int(w) for w in self.verdict.witness]
             if self.verdict.witness is not None else None,
@@ -220,11 +221,13 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     representatives); ``k_limit`` bounds the scan further for pathologically
     large periods, in which case the result is flagged as truncated.
 
-    ``solvable_eq2_at`` decides a residue at any prime: its stratum walks
-    and their deeper congruence disproofs share one node budget, and no
-    prime is too large to try.  A residue whose verdict is still undecided
-    (``EQ2_UNKNOWN``) counts as not admissible.  Whenever a prime has such
-    residues, or verdicts whose stratum walk hit its node budget, the
+    ``solvable_eq2_at`` asks whether the equation at scale P has a primitive
+    solution at p; a solution p^sigma y at scale P is a primitive one at
+    scale P p^sigma, which the loop over P tries when it is among the
+    scales.  Its walk and the deeper congruence disproofs share one node
+    budget, and no prime is too large to try.  A residue whose verdict is
+    still undecided (``EQ2_UNKNOWN``) counts as not admissible.  Whenever a
+    prime has such residues, or verdicts whose walk hit its node budget, the
     diagnostics say how many of each.
     """
     if form.rank < 5:

@@ -1,10 +1,14 @@
-"""Every public name has a caller: no library code that only tests call."""
+"""Every public name has a caller: no library code that only tests call; and
+the eq2 verdict keeps what the benchmark reads."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import mgonal
+import mgonal.quadratic as quadratic
+from mgonal.quadratic import Eq2Verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +53,26 @@ def test_every_public_name_has_a_library_or_benchmark_caller():
     unused = sorted(name for name in public
                     if name not in ALLOWED and not counts.get(name))
     assert unused == []
+
+
+def test_eq2_verdicts_keep_what_the_benchmark_reads():
+    """benchmarks/tracing.py counts verdicts by status and budget flag, and
+    benchmarks/checks.py reads the status, witness and precision of the
+    evidence.  So Eq2Verdict keeps those fields, and every verdict that
+    solvable_eq2_at builds carries one of the three statuses the trace
+    counts."""
+    fields = {f.name for f in dataclasses.fields(Eq2Verdict)}
+    assert {"status", "witness", "precision", "budget_exhausted"} <= fields
+    allowed = {"EQ2_PRIMITIVE", "EQ2_UNSOLVABLE", "EQ2_UNKNOWN"}
+    tree = ast.parse(inspect.getsource(quadratic.solvable_eq2_at))
+    statuses = [kw.value for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Eq2Verdict"
+                for kw in node.keywords if kw.arg == "status"]
+    assert statuses
+    assert all(isinstance(s, ast.Name) and s.id in allowed for s in statuses)
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse((ROOT / "benchmarks" / "tracing.py").read_text()).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "EQ2_STATUSES"
+    )
+    assert {getattr(quadratic, name) for name in allowed} <= set(traced)

@@ -250,6 +250,13 @@ def test_witnesses_match_the_shifted_stages(m, coeffs):
         assert w is None or evaluate(form, w) == n
 
 
+def test_repr_past_the_int_digit_limit():
+    # the reach stages and local flags have more than 4300 decimal digits
+    # here, so a repr that printed them would raise ValueError
+    report = exceptional_set(MgonalForm(5, (1, 1, 1, 2, 3)), 20000)
+    assert isinstance(repr(report), str)
+
+
 def test_report_csv():
     form = MgonalForm(4, (1, 1, 1, 8))
     with warnings.catch_warnings():

@@ -4,8 +4,9 @@ The CLI files and the stability depths under ``tests/golden/`` were recorded
 from the library before the stability exponent and the bad-prime test were
 merged into one rule each.  The eq2 verdict grid and the ``admissible_pc3_*``
 files were recorded before the pair-congruence disproof was moved ahead of
-the stratum search.  These tests fail if any byte, depth or verdict drifts
-from that record.
+the stratum search.  The two eq2 record files dropped their min_order key
+when the classifier came to decide primitive solvability only.  These tests
+fail if any byte, depth or verdict drifts from that record.
 """
 
 import json
@@ -120,17 +121,16 @@ def test_stability_depths_are_pinned():
 
 def test_eq2_verdicts_are_pinned():
     """A seeded grid of 150 calls: ranks 3-6, p in {2, 3, 5, 7, 11}, scale 1
-    or p.  Status, min order, witness and precision must all match."""
+    or p.  Status, witness and precision must all match."""
     cases = json.loads((GOLDEN / "eq2_verdicts.json").read_text())
     assert len(cases) == 150
     for case in cases:
         form = MgonalForm(case["m"], tuple(case["coeffs"]))
         v = solvable_eq2_at(form, case["A"], case["B"], case["k"],
                             eq2_context(form, case["p"]), scale=case["scale"])
-        got = (v.status, v.min_order,
-               None if v.witness is None else list(v.witness), v.precision)
-        assert got == (case["status"], case["min_order"], case["witness"],
-                       case["precision"]), case
+        got = (v.status, None if v.witness is None else list(v.witness),
+               v.precision)
+        assert got == (case["status"], case["witness"], case["precision"]), case
 
 
 #: (m, coeffs, N) whose admissible search once exhausted the stratum node

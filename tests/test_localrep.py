@@ -13,7 +13,7 @@ from mgonal import (
     represents,
 )
 from mgonal.arith import legendre_symbol
-from mgonal.localrep import UNIMODULAR_SHORTCUT, _locally_represented, local_flags
+from mgonal.localrep import UNIMODULAR_SHORTCUT, _locally_represented, local_bits
 from mgonal.quadratic import _diagonal_solvable
 
 from oracles import (
@@ -94,7 +94,7 @@ def test_local_paths_agree():
                   for _ in range(rank)]
         coeffs[rng.randrange(rank)] = 1
         form = MgonalForm(rng.randint(3, 30), tuple(coeffs))
-        flags = local_flags(form, bound)
+        flags = local_bits(form, bound).to_bytes(bound + 1, "big")
         # every prime of 2(m-2)a_1...a_n, and 3, 5, 7 for the shortcut
         primes = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
                   if p <= 7 or 2 * (form.m - 2) * math.prod(coeffs) % p == 0]

@@ -15,14 +15,12 @@ from mgonal import (
     eq2_context,
     eq2_residual,
     is_isotropic,
-    ordp,
     reduced_quadratic,
 )
 import mgonal.quadratic as quadratic
 from mgonal.arith import PAdicContext, least_nonresidue, legendre_symbol
 from mgonal.quadratic import (
     EQ2_PRIMITIVE,
-    EQ2_SOLVABLE,
     EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
     _congruence_depth,
@@ -246,12 +244,12 @@ class TestEq2:
     def test_unit_rich_is_primitively_solvable(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
         v = solvable_eq2_at(form, 1, 0, 0, eq2_context(form, 7))
-        assert v.status == EQ2_PRIMITIVE and v.min_order == 0
+        assert v.status == EQ2_PRIMITIVE
 
     def test_zero_parameters(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
         v = solvable_eq2_at(form, 0, 0, 0, eq2_context(form, 3))
-        assert v.status in (EQ2_PRIMITIVE, EQ2_SOLVABLE)
+        assert v.status == EQ2_PRIMITIVE
 
     def test_witness_verifies(self):
         rng = random.Random(24)
@@ -266,24 +264,29 @@ class TestEq2:
             if v.witness is not None:
                 res = eq2_residual(form, A, B, k, v.witness)
                 assert res % p ** v.precision == 0
-                if v.min_order is not None:
-                    assert min(ordp(x, p) for x in v.witness) == v.min_order
+                assert any(x % p for x in v.witness)
 
-    def test_imprimitive_stratum(self):
-        # only imprimitive solutions exist here: the congruence mod 3^4 is
-        # solvable but has no solution with a unit coordinate (checked below)
+    def test_imprimitive_solutions_are_primitive_at_scale_p(self):
+        """A solution x = p y with y primitive is a primitive solution y of
+        the equation at scale p: each case has no primitive solution at
+        scale 1 and one at scale p."""
+        for m, coeffs, (A, B, k), p in ((8, (9, 2, 2, 3, 3), (1, 0, 4), 3),
+                                        (7, (18, 2, 1), (34, 0, 12), 2)):
+            form = MgonalForm(m, coeffs)
+            ctx = eq2_context(form, p)
+            v = solvable_eq2_at(form, A, B, k, ctx)
+            assert (v.status, v.witness) == (EQ2_UNSOLVABLE, None), form
+            v = solvable_eq2_at(form, A, B, k, ctx, scale=p)
+            assert v.status == EQ2_PRIMITIVE, form
+            assert any(x % p for x in v.witness)
+            assert eq2_residual(form, A, B, k, v.witness, scale=p) % p ** v.precision == 0
+        # independent: at <9,2,2,3,3>_8 the congruence mod 3^4 is solvable
+        # but has no solution with a unit coordinate
         form = MgonalForm(8, (9, 2, 2, 3, 3))
-        A, B, k, p = 1, 0, 4, 3
-        mod = p ** 4
-        c = B + k * (form.m - 2)
-        R = form.coeffs[0] * (2 * A + B + k * (form.m - 4))
+        c, R = eq2_constants(form, 1, 0, 4)
         a1, tail = form.coeffs[0], form.coeffs[1:]
-        assert pair_congruence_oracle(c, R, 1, a1, tail, mod)
-        assert not pair_congruence_oracle(c, R, 1, a1, tail, mod, p=p)
-        v = solvable_eq2_at(form, A, B, k, eq2_context(form, p))
-        assert v.status == EQ2_SOLVABLE
-        assert v.min_order == 1
-        assert v.min_order <= (int(ordp(form.coeffs[0], p)) + 1) // 2 + 1
+        assert pair_congruence_oracle(c, R, 1, a1, tail, 3 ** 4)
+        assert not pair_congruence_oracle(c, R, 1, a1, tail, 3 ** 4, p=3)
 
     def test_unsolvable_detected(self):
         form = MgonalForm(7, (9, 1, 3, 6, 6))
@@ -365,19 +368,18 @@ class TestEq2:
         the 39 such calls of the benchmark's admissible search (31 at p = 2,
         4 at p = 5, 3 at p = 3, 1 at p = 7) and four seeded level-3 calls at
         p = 2.
-        Status, min order, witness, precision and the budget flag must match
-        the record."""
+        Status, witness, precision and the budget flag must match the
+        record."""
         cases = json.loads((GOLDEN / "eq2_deep_witnesses.json").read_text())
         assert len(cases) == 43
         for case in cases:
             form = MgonalForm(case["m"], tuple(case["coeffs"]))
             v = solvable_eq2_at(form, case["A"], case["B"], case["k"],
                                 eq2_context(form, case["p"]), scale=case["scale"])
-            got = (v.status, v.min_order,
-                   None if v.witness is None else list(v.witness), v.precision,
-                   v.budget_exhausted)
-            assert got == (case["status"], case["min_order"], case["witness"],
-                           case["precision"], case["budget_exhausted"]), case
+            got = (v.status, None if v.witness is None else list(v.witness),
+                   v.precision, v.budget_exhausted)
+            assert got == (case["status"], case["witness"], case["precision"],
+                           case["budget_exhausted"]), case
 
     def test_tail_divisible_by_p_needs_no_root_scan(self):
         # every tail coefficient is divisible by 13, so the value is c^2 - R
@@ -432,16 +434,23 @@ class TestEq2:
         v = solvable_eq2_at(form, 0, 2, 10, eq2_context(form, 2), scale=4)
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
 
-    def test_walk_at_the_precision_stays_undecided(self):
-        # c^2 - R = -64 allows strata 0..6, more than the 0..2 walked; a
-        # stratum walk still has survivors at the precision, and neither
-        # congruence mod 2^6 nor the deeper ones mod 2^7, 2^8 refute
-        form = MgonalForm(5, (4, 1, 10))
-        c, R = eq2_constants(form, 8, 0, 0)
-        assert c * c - R == -64
-        assert all(_pair_congruence_solvable(c, R, 1, 4, (1, 10), 2, d) for d in (6, 7, 8))
-        v = solvable_eq2_at(form, 8, 0, 0, eq2_context(form, 2))
-        assert (v.status, v.witness, v.budget_exhausted) == (EQ2_UNKNOWN, None, False)
+    def test_stratum_zero_walks_decide(self):
+        """Calls once undecided only because a later stratum x = p^sigma y
+        was walked: their one walk runs out of survivors, so each has no
+        primitive solution, and the oracle finds none among the primitive
+        vectors mod 2^4 and 3^6."""
+        cases = (  # m, coeffs, (A, B, k), p, oracle exponent
+            (5, (4, 1, 10), (8, 0, 0), 2, 4),
+            (5, (27, 27, 1, 1), (49, 0, 10), 3, 6),
+        )
+        for m, coeffs, (A, B, k), p, e in cases:
+            form = MgonalForm(m, coeffs)
+            c, R = eq2_constants(form, A, B, k)
+            a1, tail = coeffs[0], coeffs[1:]
+            assert not pair_congruence_oracle(c, R, 1, a1, tail, p ** e, p=p)
+            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p))
+            assert (v.status, v.witness, v.budget_exhausted) == \
+                (EQ2_UNSOLVABLE, None, False), form
 
     def test_cut_walks_prove_nothing(self, monkeypatch):
         """With the node budget lowered to 3, root scans and levels are cut
@@ -464,7 +473,7 @@ class TestEq2:
         cut_open = 0
         for (f, A, B, k, p, s), v in zip(cases, full):
             w = solvable_eq2_at(f, A, B, k, eq2_context(f, p), scale=s)
-            if v.min_order is not None or v.witness is not None:
+            if v.witness is not None:
                 assert w.status != EQ2_UNSOLVABLE, (f.describe(), A, B, k, p, s)
             if w.witness is not None:
                 assert eq2_residual(f, A, B, k, w.witness, scale=s) % p ** w.precision == 0
@@ -574,18 +583,19 @@ class TestEq2:
 
     def test_bad_prime_min_order_bound(self):
         """At the bad prime of <9,1,1,6,6>_7 every solvable instance admits a
-        solution of min-order at most ord_3(9)/2 = 1; instances whose
-        solutions are all imprimitive must report min_order 1."""
+        solution of min-order at most ord_3(9)/2 = 1: a solution p^sigma y,
+        y primitive, is a primitive one at scale 3^sigma, so an instance
+        primitively solvable at scale 9 is so at scale 1 or 3."""
         form = MgonalForm(7, (9, 1, 1, 6, 6))
         ctx = eq2_context(form, 3)
         rng = random.Random(26)
         solvable_seen = 0
         for _ in range(40):
             A, B, k = rng.randint(0, 40), rng.randint(0, 4), rng.randint(0, 12)
-            v = solvable_eq2_at(form, A, B, k, ctx)
-            if v.min_order is not None:
-                solvable_seen += 1
-                assert v.min_order <= 1
+            primitive = [solvable_eq2_at(form, A, B, k, ctx, scale=3 ** s).status
+                         == EQ2_PRIMITIVE for s in range(3)]
+            solvable_seen += primitive[0] or primitive[1]
+            assert primitive[0] or primitive[1] or not primitive[2], (A, B, k)
         assert solvable_seen > 0
 
     def test_completion_identity_consistency(self):

@@ -170,7 +170,7 @@ class TestAdmissibleK:
         def undecided_at_k1(form, A, B, k, ctx, *, scale=1):
             v = real(form, A, B, k, ctx, scale=scale)
             if ctx.p == 2 and k == 1 and scale == 1:
-                return Eq2Verdict(status=EQ2_UNKNOWN, min_order=None, witness=None,
+                return Eq2Verdict(status=EQ2_UNKNOWN, witness=None,
                                   precision=v.precision, budget_exhausted=True)
             return v
 
@@ -189,7 +189,7 @@ class TestAdmissibleK:
 
         def unsolvable_at_2(form, A, B, k, ctx, *, scale=1):
             if ctx.p == 2:
-                return Eq2Verdict(status=EQ2_UNSOLVABLE, min_order=None, witness=None,
+                return Eq2Verdict(status=EQ2_UNSOLVABLE, witness=None,
                                   precision=ctx.precision, budget_exhausted=False)
             return real(form, A, B, k, ctx, scale=scale)
 
