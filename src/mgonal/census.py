@@ -10,14 +10,13 @@ import sys
 import time
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .arith import bit_bytes
 from .errors import InputError, ResourceError
-from .localrep import local_bits, locally_represents
-from .polygonal import MgonalForm, _term_table, decompose_target
+from .localrep import _locally_represented, local_bits, locally_represents
+from .polygonal import MgonalForm, _term_table, decompose_target, represents
 from .serialize import json_int
 
 #: Hard ceiling on scan bounds; above this the table alone is unreasonable.
@@ -32,17 +31,12 @@ MAX_BOUND = 50_000_000
 _value_table = _term_table
 
 
-def _term_values(m: int, a: int, bound: int) -> list[int]:
-    """The distinct values a*P_m(x) <= bound, ascending."""
-    return _term_table(m, a, bound)[0]
-
-
 def _term_bits(m: int, a: int, bound: int) -> int:
     """The bitset of the values a*P_m(x) <= bound: the bits set in one
     little-endian byte buffer and read as an integer once, where shifting 1
     by each value would OR every value into a full-width integer."""
     buf = bytearray((bound >> 3) + 1)
-    for v in _term_values(m, a, bound):
+    for v in _term_table(m, a, bound)[0]:
         buf[v >> 3] |= 1 << (v & 7)
     return int.from_bytes(buf, "little")
 
@@ -53,19 +47,19 @@ def _add_term(reach: int, m: int, a: int, bound: int) -> int:
     # Largest shift first: every partial OR then has the final size, so the
     # allocator reuses freed blocks instead of mapping fresh pages for ever
     # larger ones (a third of the stages' time at bound 10^7, 2-core VM).
-    for v in reversed(_term_values(m, a, bound)):
+    for v in reversed(_term_table(m, a, bound)[0]):
         out |= reach << v
     return out & ((1 << (bound + 1)) - 1)
 
 
-def _reach_stages(form: MgonalForm, bound: int) -> list[int]:
-    """Bitsets reach[i] of the sums <= bound of the first i terms (bit N set =
-    reachable), for i = 0..rank-1.  The last term is left to
+def _reach(form: MgonalForm, bound: int) -> int:
+    """The bitset of the sums <= bound of the first rank-1 terms (bit N set =
+    reachable), folded one term at a time.  The last term is left to
     ``exceptional_set``, which probes it at the N the others miss, or sweeps
-    its stage when those N outnumber its values."""
-    reach = [1, _term_bits(form.m, form.coeffs[0], bound)]
+    it when those N outnumber its values."""
+    reach = _term_bits(form.m, form.coeffs[0], bound)
     for a in form.coeffs[1:-1]:
-        reach.append(_add_term(reach[-1], form.m, a, bound))
+        reach = _add_term(reach, form.m, a, bound)
     return reach
 
 
@@ -85,7 +79,8 @@ def _ones(mask: bytes):
 @dataclass
 class ExceptionalReport:
     """Census over [0, bound]: the exceptional integers (locally represented
-    but not represented), counts, and re-derivable witnesses."""
+    but not represented) and the counts.  Witnesses come from ``represents``,
+    local flags from the form's cached local criterion, one N at a time."""
 
     form: MgonalForm
     bound: int
@@ -94,60 +89,23 @@ class ExceptionalReport:
     represented_count: int
     max_exceptional: int | None
     timings: dict
-    # reach stages (``_reach_stages``) and local flags (``localrep.local_bits``),
-    # kept out of the repr: an int past 4300 digits has no decimal repr
-    _stages: list = field(repr=False)
-    _local_bits: int = field(repr=False)
 
     def witness(self, N: int) -> tuple[int, ...] | None:
-        """Witness for a represented N <= bound, else None.
-
-        N is represented exactly when it is locally represented and not
-        exceptional, since every represented N is locally represented.  The
-        witness is then read back through the reach stages, last term first.
-        """
+        """``represents(form, N).x`` for a represented N <= bound, else None;
+        None with no search at an exceptional N, where it would find nothing."""
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
         exc = self.exceptional
         j = bisect_left(exc, N)
-        if not self._local[N] or exc[j:j + 1] == (N,):
+        if exc[j:j + 1] == (N,):
             return None
-        views = self._stage_views
-        out = []
-        rem = N
-        for i in range(self.form.rank - 1, -1, -1):
-            # the census's bound tables, largest value <= rem first
-            values, x_of = _term_table(self.form.m, self.form.coeffs[i],
-                                       self.bound)
-            view = views[i]
-            for v in values[bisect_right(values, rem) - 1::-1]:
-                k = rem - v
-                if view[k >> 3] >> (k & 7) & 1:
-                    out.append(x_of[v])
-                    rem -= v
-                    break
-            else:  # pragma: no cover - stages guarantee a decomposition
-                raise ResourceError("witness reconstruction failed")
-        return tuple(reversed(out))
-
-    @cached_property
-    def _local(self) -> bytes:
-        """Byte N is 1 iff N is locally represented (``localrep.local_bits``),
-        built on the first call that reads a flag."""
-        return self._local_bits.to_bytes(self.bound + 1, "big")
-
-    @cached_property
-    def _stage_views(self) -> list[bytes]:
-        """Each reach stage packed little-endian, built on the first
-        ``witness`` call: bit k is bit k & 7 of byte k >> 3, so a probe reads
-        one byte where a shift would copy the whole stage."""
-        size = (self.bound >> 3) + 1
-        return [stage.to_bytes(size, "little") for stage in self._stages]
+        w = represents(self.form, N)
+        return None if w is None else w.x
 
     def locally_represented(self, N: int) -> bool:
         if not 0 <= N <= self.bound:
             raise InputError(f"{N} outside the scanned range [0, {self.bound}]")
-        return bool(self._local[N])
+        return _locally_represented(self.form, N)
 
     def to_json(self, *, stable: bool = False) -> dict:
         out = {
@@ -218,7 +176,7 @@ def exceptional_set(form: MgonalForm, bound: int, *,
             stacklevel=2,
         )
     t0 = time.perf_counter()
-    stages = _reach_stages(form, bound)
+    reach = _reach(form, bound)
     t1 = time.perf_counter()
     local = local_bits(form, bound)  # one bit per flag byte
     t2 = time.perf_counter()
@@ -226,8 +184,7 @@ def exceptional_set(form: MgonalForm, bound: int, *,
     locally_represented_count = local.bit_count()
     # Reach lies within local, so the candidates number the difference of
     # the counts, and local ^ reach (no negative int to copy) is local & ~reach.
-    reach = stages[-1]
-    last = _term_values(form.m, form.coeffs[-1], bound)
+    last = _term_table(form.m, form.coeffs[-1], bound)[0]  # ascending
     sweep_s = 0.0
     if locally_represented_count - reach.bit_count() > len(last):
         ts = time.perf_counter()
@@ -257,8 +214,6 @@ def exceptional_set(form: MgonalForm, bound: int, *,
             "extract_seconds": extract_s,
             "total_seconds": round(reach_s + local_s + extract_s, 6),
         },
-        _stages=stages,
-        _local_bits=local,
     )
 
 
@@ -315,10 +270,15 @@ def scaling_experiment(coeffs, m_min: int, m_max: int,
     multiplier = Fraction(multiplier)
     if multiplier <= 0:
         raise InputError("multiplier must be positive")
+    ms = range(m_min, m_max + 1)
+    bounds = [int(math.ceil(multiplier * (m - 2) ** 3)) for m in ms]
+    # the bound grows with m: refuse the range before its first census
+    if bounds[-1] > MAX_BOUND:
+        raise ResourceError(f"m={m_max} needs bound {bounds[-1]}, "
+                            f"above the census ceiling {MAX_BOUND}")
     rows = []
-    for m in range(m_min, m_max + 1):
+    for m, bound in zip(ms, bounds):
         form = MgonalForm(m=m, coeffs=tuple(coeffs))
-        bound = int(math.ceil(multiplier * (m - 2) ** 3))
         t0 = time.perf_counter()
         report = exceptional_set(form, bound, jobs=jobs)
         rows.append(

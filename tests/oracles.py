@@ -360,6 +360,47 @@ def _least_nonresidue(p: int) -> int:
     return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
 
 
+def _isotropy_stages(coeffs: tuple[int, ...], p: int, mod: int) -> list:
+    """The residues sum a_j x_j^2 mod ``mod`` over the first i coefficients,
+    for i = 0..rank, as pairs of ``mod``-bit ints (no unit coordinate yet,
+    some unit coordinate): bit r is set when r is reached.  Each distinct
+    square value v rotates a pair by v, with two shifts and an OR."""
+    full = (1 << mod) - 1
+    stages = [(1, 0)]
+    for a in coeffs:
+        none, some = stages[-1]
+        nxt_none = nxt_some = 0
+        both = none | some
+        for v in {a * x * x % mod for x in range(mod) if x % p}:
+            nxt_some |= (both << v | both >> (mod - v)) & full
+        for v in {a * x * x % mod for x in range(0, mod, p)}:
+            nxt_none |= (none << v | none >> (mod - v)) & full
+            nxt_some |= (some << v | some >> (mod - v)) & full
+        stages.append((nxt_none, nxt_some))
+    return stages
+
+
+def _isotropy_reach_reference(coeffs: tuple[int, ...], p: int,
+                              mod: int) -> np.ndarray:
+    """The last of ``_isotropy_stages`` as a (mod x 2) boolean array, by one
+    ``np.roll`` per distinct square value: the reference the packed stages
+    are checked against."""
+    residues = np.arange(mod, dtype=np.int64)
+    unit = residues % p != 0
+    reach = np.zeros((mod, 2), dtype=bool)
+    reach[0, 0] = True
+    for a in coeffs:
+        table = (a * residues * residues) % mod
+        nxt = np.zeros_like(reach)
+        for v in np.unique(table[unit]):
+            nxt[:, 1] |= np.roll(reach[:, 0] | reach[:, 1], v)
+        for v in np.unique(table[~unit]):
+            nxt[:, 0] |= np.roll(reach[:, 0], v)
+            nxt[:, 1] |= np.roll(reach[:, 1], v)
+        reach = nxt
+    return reach
+
+
 @lru_cache(maxsize=None)
 def _isotropy_scan(coeffs: tuple[int, ...], p: int, depth: int) -> bool:
     """Exhaustive primitive-zero search mod p^depth with certification.
@@ -369,25 +410,11 @@ def _isotropy_scan(coeffs: tuple[int, ...], p: int, depth: int) -> bool:
     """
     mod = p ** depth
     n = len(coeffs)
-    residues = np.arange(mod, dtype=np.int64)
-    unit = residues % p != 0
-    tables = [(a * residues * residues) % mod for a in coeffs]
-
-    # accumulate reachable sums with a "some unit coordinate" flag
-    reach = np.zeros((mod, 2), dtype=bool)
-    reach[0, 0] = True
-    for a, table in zip(coeffs, tables):
-        nxt = np.zeros_like(reach)
-        for v in np.unique(table[unit]):
-            nxt[:, 1] |= np.roll(reach[:, 0] | reach[:, 1], v)
-        for v in np.unique(table[~unit]):
-            nxt[:, 0] |= np.roll(reach[:, 0], v)
-            nxt[:, 1] |= np.roll(reach[:, 1], v)
-        reach = nxt
-    if not reach[0, 1]:
+    stages = _isotropy_stages(coeffs, p, mod)
+    if not stages[-1][1] & 1:
         return False
     # reconstruct one primitive witness and verify it lifts
-    witness = _isotropy_witness(coeffs, tables, p, mod)
+    witness = _isotropy_witness(coeffs, stages, p, mod)
     e = 1 if p == 2 else 0
     t = min(
         int(e + _ord(a, p) + _ord(x, p, depth))
@@ -411,43 +438,23 @@ def _ord(x, p, cap=64):
     return v
 
 
-def _isotropy_witness(coeffs, tables, p, mod):
-    """Backtrack a primitive zero mod ``mod`` from the value tables."""
-    n = len(coeffs)
-    partial_reach = [None] * (n + 1)
-    reach = np.zeros((mod, 2), dtype=bool)
-    reach[0, 0] = True
-    partial_reach[0] = reach
-    residues = np.arange(mod, dtype=np.int64)
-    unit = residues % p != 0
-    for i, table in enumerate(tables):
-        reach = partial_reach[i]
-        nxt = np.zeros_like(reach)
-        for v in np.unique(table[unit]):
-            nxt[:, 1] |= np.roll(reach[:, 0] | reach[:, 1], v)
-        for v in np.unique(table[~unit]):
-            nxt[:, 0] |= np.roll(reach[:, 0], v)
-            nxt[:, 1] |= np.roll(reach[:, 1], v)
-        partial_reach[i + 1] = nxt
+def _isotropy_witness(coeffs, stages, p, mod):
+    """Backtrack a primitive zero mod ``mod`` through ``_isotropy_stages``,
+    last coordinate first, taking the least x at each."""
     target, flag = 0, 1
     witness = []
-    for i in range(n - 1, -1, -1):
-        table = tables[i]
-        found = False
+    for i in range(len(coeffs) - 1, -1, -1):
         for x in range(mod):
-            prev = (target - int(table[x])) % mod
+            prev = (target - coeffs[i] * x * x) % mod
             # a unit coordinate here covers the flag; otherwise it must
             # already be satisfied by the prefix
-            options = [0, 1] if (flag == 1 and x % p) else [flag]
-            for pf in options:
-                if partial_reach[i][prev, pf]:
-                    witness.append(x)
-                    target, flag = prev, pf
-                    found = True
-                    break
-            if found:
+            options = (0, 1) if flag == 1 and x % p else (flag,)
+            pf = next((f for f in options if stages[i][f] >> prev & 1), None)
+            if pf is not None:
                 break
-        assert found
+        assert pf is not None
+        witness.append(x)
+        target, flag = prev, pf
     return tuple(reversed(witness))
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +17,8 @@ from mgonal import (
     scaling_experiment,
 )
 
-from mgonal.census import _term_values
-from mgonal.polygonal import _term_table
+from mgonal import census
+from mgonal.localrep import _locally_represented
 
 from oracles import reachable_values
 
@@ -63,12 +64,29 @@ def test_pentagonal_census_against_double_scan():
 
 def _last_term_candidates(report):
     """The locally represented N that the first rank-1 terms miss, and the
-    number of distinct last-term values: the census probes those N when
-    they are no more than those values, and sweeps the last stage otherwise."""
-    form, first = report.form, report._stages[-1]
-    candidates = [n for n in range(report.bound + 1)
-                  if report.locally_represented(n) and not (first >> n) & 1]
-    return candidates, len(_term_values(form.m, form.coeffs[-1], report.bound))
+    number of distinct last-term values, both by set-based reachability: the
+    census probes those N when they are no more than those values, and sweeps
+    the last term otherwise."""
+    form, bound = report.form, report.bound
+    first = reachable_values(SimpleNamespace(m=form.m, coeffs=form.coeffs[:-1]),
+                             bound)
+    last = reachable_values(SimpleNamespace(m=form.m, coeffs=form.coeffs[-1:]),
+                            bound)
+    candidates = [n for n in range(bound + 1)
+                  if report.locally_represented(n) and n not in first]
+    return candidates, len(last)
+
+
+def _census_and_sweep(monkeypatch, form, bound):
+    """The census report, and whether it swept the last term: the reach fold
+    adds rank-2 terms to the first, and a sweep adds one more."""
+    added = []
+    add_term = census._add_term
+    monkeypatch.setattr(census, "_add_term",
+                        lambda *args: added.append(args) or add_term(*args))
+    report = exceptional_set(form, bound)
+    assert len(added) in (form.rank - 2, form.rank - 1)
+    return report, len(added) == form.rank - 1
 
 
 @pytest.mark.parametrize("m, coeffs, bound", [
@@ -77,30 +95,29 @@ def _last_term_candidates(report):
     (7, (1, 2, 3), 1500),
     (5, (1, 1, 1, 1, 10007), 1000),  # the last term takes the value 0 only
 ])
-def test_swept_last_stage_against_double_scan(m, coeffs, bound):
+def test_swept_last_stage_against_double_scan(monkeypatch, m, coeffs, bound):
     form = MgonalForm(m, coeffs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = exceptional_set(form, bound)
+        report, swept = _census_and_sweep(monkeypatch, form, bound)
         exc, nloc, nrep = simple_double_scan(form, bound)
     assert list(report.exceptional) == exc
     assert report.locally_represented_count == nloc
     assert report.represented_count == nrep
-    assert len(report._stages) == form.rank
     candidates, values = _last_term_candidates(report)
+    assert swept == (len(candidates) > values)
     if coeffs[-1] <= bound:
-        assert len(candidates) > values  # the sweep, not the probes
+        assert swept  # the sweep, not the probes
     else:
         assert values == 1
 
 
-def test_probed_last_term_witnesses():
+def test_probed_last_term_witnesses(monkeypatch):
     form = MgonalForm(12, (2, 3, 5, 7, 11))
     bound = 10_000
-    report = exceptional_set(form, bound)
-    assert len(report._stages) == form.rank
+    report, swept = _census_and_sweep(monkeypatch, form, bound)
     candidates, values = _last_term_candidates(report)
-    assert len(candidates) <= values  # the probes, not the sweep
+    assert not swept and len(candidates) <= values  # the probes, not the sweep
     reachable = reachable_values(form, bound)
     exceptional = set(report.exceptional)
     assert exceptional == {n for n in candidates if n not in reachable}
@@ -216,43 +233,20 @@ def test_timings_add_up():
                         + t["extract_seconds"], t["total_seconds"], abs_tol=1e-9)
 
 
-def test_witnesses_use_the_census_tables():
-    form = MgonalForm(5, (1, 2, 3, 4, 5))
-    report = exceptional_set(form, 600)
-    before = _term_table.cache_info().misses
-    for n in range(601):
-        report.witness(n)
-    assert _term_table.cache_info().misses == before
-
-
-def _shifted_witness(report, N):
-    """The witness read back through the reach stages by shifting each whole
-    stage integer: the reconstruction ``witness`` made before its byte views."""
-    if not report.locally_represented(N) or N in report.exceptional:
-        return None
-    form, rem, out = report.form, N, []
-    for i in range(form.rank - 1, -1, -1):
-        values, x_of = _term_table(form.m, form.coeffs[i], report.bound)
-        v = next(v for v in reversed(values)
-                 if v <= rem and (report._stages[i] >> (rem - v)) & 1)
-        out.append(x_of[v])
-        rem -= v
-    return tuple(reversed(out))
-
-
 @pytest.mark.parametrize("m, coeffs", [(5, (1, 2, 3, 4, 5)), (10, (1, 1, 1, 2, 4))])
-def test_witnesses_match_the_shifted_stages(m, coeffs):
+def test_per_n_answers_come_from_the_single_target_paths(m, coeffs):
     form = MgonalForm(m, coeffs)
     report = exceptional_set(form, 2000)
     for n in range(2001):
-        w = report.witness(n)
-        assert w == _shifted_witness(report, n), n
+        w, found = report.witness(n), represents(form, n)
+        assert w == (None if found is None else found.x), n
         assert w is None or evaluate(form, w) == n
+        assert report.locally_represented(n) is _locally_represented(form, n), n
 
 
 def test_repr_past_the_int_digit_limit():
-    # the reach stages and local flags have more than 4300 decimal digits
-    # here, so a repr that printed them would raise ValueError
+    # the census's bitsets have more than 4300 decimal digits here, so a
+    # report that kept them in its repr would raise ValueError
     report = exceptional_set(MgonalForm(5, (1, 1, 1, 2, 3)), 20000)
     assert isinstance(repr(report), str)
 
@@ -299,6 +293,14 @@ class TestScaling:
         lines = result.to_csv(stable=True).strip().split("\n")
         assert lines[0] == "m,bound,max_exceptional,seconds"
         assert len(lines) == 3
+
+    def test_range_past_the_ceiling_runs_no_row(self, monkeypatch):
+        # only m >= 138 needs a bound, 20 (m-2)^3, above MAX_BOUND; the range
+        # is refused before the census of m = 5
+        monkeypatch.setattr(census, "exceptional_set",
+                            lambda *args, **kwargs: pytest.fail("a row ran"))
+        with pytest.raises(ResourceError):
+            scaling_experiment((2, 3, 5, 7, 11), 5, 140)
 
     def test_empty_range_rejected(self):
         with pytest.raises(InputError):

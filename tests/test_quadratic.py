@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgonal import (
@@ -34,6 +35,10 @@ from mgonal.quadratic import (
 
 from oracles import (
     UNDECIDED,
+    _isotropy_reach_reference,
+    _isotropy_stages,
+    _isotropy_witness,
+    _square_class_rep,
     _tail_sum_states,
     cofactor_determinant,
     diagonal_oracle,
@@ -238,6 +243,27 @@ class TestIsotropy:
                         expected = isotropy_oracle(key, p)
                         seen[key] = expected
                     assert is_isotropic(coeffs, p) == expected, (coeffs, p)
+
+    def test_packed_oracle_stages_match_the_numpy_scan(self):
+        """The isotropy oracle's packed reach against its numpy reference, on
+        every reduced tuple of rank <= 4 mod p^depth for depth <= 3; where a
+        primitive zero is reached, the backtracked witness is one."""
+        for p in (2, 3, 5):
+            reps = sorted({_square_class_rep(a, p) for a in range(1, 4 * p * p)})
+            for depth in (1, 2, 3):
+                mod = p ** depth
+                for rank in range(1, 5):
+                    for coeffs in combinations_with_replacement(reps, rank):
+                        stages = _isotropy_stages(coeffs, p, mod)
+                        reach = _isotropy_reach_reference(coeffs, p, mod)
+                        for flag in (0, 1):
+                            packed = np.packbits(reach[:, flag], bitorder="little")
+                            assert stages[-1][flag] == int.from_bytes(
+                                packed.tobytes(), "little"), (coeffs, p, depth)
+                        if stages[-1][1] & 1:
+                            w = _isotropy_witness(coeffs, stages, p, mod)
+                            assert any(x % p for x in w), (coeffs, p, depth)
+                            assert sum(a * x * x for a, x in zip(coeffs, w)) % mod == 0
 
 
 class TestEq2:
