@@ -270,15 +270,15 @@ def scaling_experiment(coeffs, m_min: int, m_max: int,
     multiplier = Fraction(multiplier)
     if multiplier <= 0:
         raise InputError("multiplier must be positive")
-    ms = range(m_min, m_max + 1)
-    bounds = [int(math.ceil(multiplier * (m - 2) ** 3)) for m in ms]
     # the bound grows with m: refuse the range before its first census
-    if bounds[-1] > MAX_BOUND:
-        raise ResourceError(f"m={m_max} needs bound {bounds[-1]}, "
+    bound_max = int(math.ceil(multiplier * (m_max - 2) ** 3))
+    if bound_max > MAX_BOUND:
+        raise ResourceError(f"m={m_max} needs bound {bound_max}, "
                             f"above the census ceiling {MAX_BOUND}")
     rows = []
-    for m, bound in zip(ms, bounds):
+    for m in range(m_min, m_max + 1):
         form = MgonalForm(m=m, coeffs=tuple(coeffs))
+        bound = int(math.ceil(multiplier * (m - 2) ** 3))
         t0 = time.perf_counter()
         report = exceptional_set(form, bound, jobs=jobs)
         rows.append(

@@ -18,7 +18,7 @@ from mgonal import (
 )
 
 from mgonal import census
-from mgonal.localrep import _locally_represented
+from mgonal.localrep import _locally_represented, local_bits
 
 from oracles import reachable_values
 
@@ -165,8 +165,12 @@ def test_range_local_flags_match_per_n(m, coeffs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = exceptional_set(form, bound)
+    # the census counts from the periodic bulk flags; each must match per N
+    flags = local_bits(form, bound).to_bytes(bound + 1, "big")
     for n in range(bound + 1):
-        assert report.locally_represented(n) is bool(locally_represents(form, n)), n
+        expected = locally_represents(form, n).represented
+        assert flags[n] == expected, n
+        assert report.locally_represented(n) is expected, n
 
 
 def test_parallel_serial_identical():
