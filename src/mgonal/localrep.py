@@ -17,12 +17,15 @@ ever need rule 3's diagonal decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from .arith import is_prime, odd_prime_divisors
 from .errors import InputError
-from .polygonal import MgonalForm
 from .quadratic import _diagonal_solvable, _diagonal_solvable_run
+
+if TYPE_CHECKING:  # polygonal imports this module for ``represents``
+    from .polygonal import MgonalForm
 
 UNIMODULAR_SHORTCUT = "unimodular-universal"
 
@@ -48,13 +51,24 @@ class LocalVerdict:
 
 @dataclass(frozen=True)
 class LocalRepresentation:
-    """Aggregate local verdict over all relevant primes."""
+    """Aggregate local verdict over all relevant primes.
 
+    ``represented`` is decided when the object is built; the per-prime
+    verdicts that explain it are built on first read of ``verdicts``.
+    """
+
+    form: MgonalForm
+    N: int
     represented: bool
-    verdicts: tuple[LocalVerdict, ...]
 
     def __bool__(self) -> bool:
         return self.represented
+
+    @cached_property
+    def verdicts(self) -> tuple[LocalVerdict, ...]:
+        """One verdict per relevant prime, ascending in p."""
+        coeffs = self.form.coeffs
+        return tuple(_verdict(coeffs, self.N, *c) for c in _criteria(self.form))
 
     def to_json(self) -> dict:
         return {
@@ -129,17 +143,15 @@ def _criteria(form: MgonalForm) -> tuple:
 
 
 def locally_represents(form: MgonalForm, N: int) -> LocalRepresentation:
-    """Conjunction of the per-prime verdicts over the relevant primes."""
-    criteria = _criteria(form)
+    """Conjunction of the per-prime verdicts over the relevant primes,
+    decided by ``_locally_represented``."""
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
-    verdicts = tuple(_verdict(form.coeffs, N, *c) for c in criteria)
-    return LocalRepresentation(represented=all(v.represented for v in verdicts),
-                               verdicts=verdicts)
+    return LocalRepresentation(form, N, _locally_represented(form, N))
 
 
 def _locally_represented(form: MgonalForm, N: int) -> bool:
-    """``locally_represents(form, N).represented`` for N >= 0, with no verdict
+    """Whether every relevant prime represents N >= 0, with no verdict
     objects; it stops at the first prime that fails."""
     coeffs = form.coeffs
     for p, _, alpha, beta in _criteria(form):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
+from .localrep import _locally_represented
 
 
 def coefficient_gcd(coeffs) -> int:
@@ -204,7 +205,8 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     """A verified witness for form = N over the integers, or None.
 
     At rank >= 3 a target that fails the local criterion
-    (``localrep.locally_represents``) gets an exact early None: an integer
+    (``localrep._locally_represented``, the yes-or-no check that stops at
+    the first prime that fails) gets an exact early None: an integer
     solution is a p-adic solution at every prime, so no search can find one.
     Rank-1 and rank-2 forms, which the local criterion does not cover, are
     left to the search.
@@ -235,10 +237,8 @@ def represents(form: MgonalForm, N: int) -> Witness | None:
     """
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
-    if form.rank >= 3:
-        from .localrep import _locally_represented  # localrep imports this module
-        if not _locally_represented(form, N):
-            return None
+    if form.rank >= 3 and not _locally_represented(form, N):
+        return None
     m, coeffs = form.m, form.coeffs
     if len(coeffs) == 1:
         x = _term_table(m, coeffs[0], _cap(N))[1].get(N)

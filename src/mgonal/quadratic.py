@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, product, takewhile
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .arith import (
     INFINITY,
@@ -22,7 +23,9 @@ from .arith import (
     unit_square_class_reps,
 )
 from .errors import AnomalyWarning, ContractError, InputError
-from .polygonal import MgonalForm
+
+if TYPE_CHECKING:  # polygonal imports localrep, which imports this module
+    from .polygonal import MgonalForm
 
 GramMatrix = tuple[tuple[int, ...], ...]
 
@@ -759,8 +762,11 @@ def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
     the next congruence level or none do, and the residues of a primitive
     solution survive every level until one certifies: a walk with no cut
     that runs out of survivors, at any level up to ``depth``, proves that
-    there is none.  Between levels the walk asks ``refuted(size)``, size
-    being the next level's full node count (0 after the last level).
+    there is none, and ends the walk with no further check.  Otherwise,
+    between levels, the walk asks ``refuted(size, solved)``: size is the
+    next level's full node count (0 after the last level), and solved is
+    l+1 when level l has survivors, since each solves the congruence mod
+    p^(l+1), else 0.
 
     Children are generated lazily in lexicographic order, so the first
     certified node is returned without building the rest of its level.
@@ -789,8 +795,10 @@ def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
                 return found, budget_hit
             if val % next_mod == 0:
                 survivors.append(y)
+        if not (survivors or budget_hit):
+            return EQ2_UNSOLVABLE, budget_hit
         size = len(survivors) * p ** n if level < depth else 0
-        if refuted(size) or not (survivors or budget_hit):
+        if refuted(size, level + 1 if survivors else 0):
             return EQ2_UNSOLVABLE, budget_hit
         if not size:
             return EQ2_UNKNOWN, budget_hit
@@ -886,10 +894,12 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     solution p^sigma y with y primitive is a primitive solution at scale
     scale * p^sigma, so a caller asks about it at that scale.  The disproofs
     are the exhaustive pair congruence mod p^l2 (l2 from
-    ``_congruence_depth``), tried after level 1 when no root certified, and
-    mod p^d for d = l2+1, ... while p^(2d) stays within ``EQ2_NODE_BUDGET``,
-    tried once, before the walk expands a level past the budget or else
-    before an undecided verdict (``EQ2_UNKNOWN``).
+    ``_congruence_depth``), tried after level 1 when no root certified and
+    some node survived it, and mod p^d for d = l2+1, ... while p^(2d) stays
+    within ``EQ2_NODE_BUDGET``, tried once, before the walk expands a level
+    past the budget or else before an undecided verdict (``EQ2_UNKNOWN``).
+    A modulus p^d is dropped unbuilt once a survivor of level d-1 or deeper
+    solves the congruence mod p^d: it cannot refute.
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
@@ -909,10 +919,14 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
     first = [l2] if l2 else []
     deeper = list(takewhile(lambda d: p ** (2 * d) <= EQ2_NODE_BUDGET, count(l2 + 1)))
 
-    def refuted(size) -> bool:
+    def refuted(size, solved) -> bool:
         """The walk's check between levels: mod p^l2 at the first call, then
-        the deeper moduli once, at the first size past the budget."""
+        the deeper moduli once, at the first size past the budget.  Moduli
+        p^d with d <= solved, where the congruence is known solvable, are
+        dropped."""
         nonlocal first, deeper
+        first = [d for d in first if d > solved]
+        deeper = [d for d in deeper if d > solved]
         depths, first = first, []
         if size > EQ2_NODE_BUDGET:
             depths, deeper = depths + deeper, []
@@ -920,7 +934,7 @@ def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
                    for d in depths)
 
     found, budget_hit = _stratum_search(c, R, scale, a1, tail, p, depth, refuted)
-    if found == EQ2_UNKNOWN and refuted(INFINITY):
+    if found == EQ2_UNKNOWN and refuted(INFINITY, 0):
         found = EQ2_UNSOLVABLE
     if found == EQ2_UNSOLVABLE:
         return Eq2Verdict(status=EQ2_UNSOLVABLE, witness=None,

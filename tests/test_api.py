@@ -1,5 +1,5 @@
 """Every public name has a caller: no library code that only tests call; and
-the eq2 verdict keeps what the benchmark reads."""
+the eq2 verdict and the traced names keep what the benchmark reads."""
 
 import ast
 import dataclasses
@@ -76,3 +76,53 @@ def test_eq2_verdicts_keep_what_the_benchmark_reads():
         if isinstance(node, ast.Assign) and node.targets[0].id == "EQ2_STATUSES"
     )
     assert {getattr(quadratic, name) for name in allowed} <= set(traced)
+
+
+def _mgonal_module(node):
+    """The ``mgonal`` submodule that ``mgonal.<name>`` in the AST names, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "mgonal"):
+        return getattr(mgonal, node.attr)
+    return None
+
+
+def test_trace_reads_names_that_exist():
+    """benchmarks/tracing.py rebinds functions by module and name, and reads
+    ``cache_info()`` of cached ones; a name missing from the library breaks
+    ``--trace 1``, which no test runs.  So every ``tracer.wrap`` or
+    ``tracer.count`` target must be a function of its module (the modules of
+    a ``for`` loop over ``mgonal.<module>`` each), and every
+    ``mgonal.<module>.<name>.cache_info()`` must exist."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
+    loops = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            loops[node.target.id] = [_mgonal_module(e) for e in node.iter.elts]
+    patched, cached = set(), set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr in ("wrap", "count"):
+            target, attr = node.args[0], node.args[1].value
+            modules = loops[target.id] if isinstance(target, ast.Name) \
+                else [_mgonal_module(target)]
+            for module in modules:
+                assert module is not None, ast.unparse(node)
+                assert callable(getattr(module, attr, None)), (module.__name__, attr)
+                patched.add((module.__name__, attr))
+        elif node.func.attr == "cache_info":
+            owner = node.func.value
+            module = _mgonal_module(owner.value)
+            assert module is not None, ast.unparse(node)
+            assert callable(getattr(getattr(module, owner.attr, None), "cache_info", None)), \
+                (module.__name__, owner.attr)
+            cached.add((module.__name__, owner.attr))
+    assert {("mgonal.census", "locally_represents"),
+            ("mgonal.theorem", "locally_represents"),
+            ("mgonal.localrep", "locally_represents"),
+            ("mgonal.polygonal", "invert_polygonal")} <= patched
+    assert {("mgonal.quadratic", "_diagonal_solvable"),
+            ("mgonal.quadratic", "_unit_reachable"),
+            ("mgonal.census", "_value_table"),
+            ("mgonal.polygonal", "_term_table")} <= cached

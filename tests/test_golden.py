@@ -51,6 +51,16 @@ CLI_CASES = (
     ("admissible_m10_5-1-1-12-7_n5.json",
      ["admissible-k", "--m", "10", "--coeffs", "5,1,1,12,7", "--n", "5",
       "--format", "json"]),
+) + tuple(
+    # locally obstructed at p = 3; the unimodular shortcut at p = 7; rule 4
+    (f"local_{name}.{fmt.replace('text', 'txt')}",
+     ["local", *args.split(), "--format", fmt])
+    for name, args in (
+        ("m7_1-1-3-9-9_n33", "--m 7 --coeffs 1,1,3,9,9 --n 33"),
+        ("p7_m5_1-1-1-1-1_n9", "--m 5 --coeffs 1,1,1,1,1 --n 9 --prime 7"),
+        ("m12_1-2-3-5-5_n100", "--m 12 --coeffs 1,2,3,5,5 --n 100"),
+    )
+    for fmt in ("json", "text")
 )
 
 

@@ -13,7 +13,8 @@ from mgonal import (
     represents,
 )
 from mgonal.arith import legendre_symbol
-from mgonal.localrep import UNIMODULAR_SHORTCUT, _locally_represented, local_bits
+import mgonal.localrep as localrep
+from mgonal.localrep import UNIMODULAR_SHORTCUT, local_bits
 from mgonal.quadratic import _diagonal_solvable
 
 from oracles import (
@@ -81,7 +82,7 @@ def test_verdict_json():
 
 
 def test_local_paths_agree():
-    # the search's bool-only check, the verdict objects and the census flags
+    # the aggregate's answer, its per-prime verdicts and the census flags
     # read one cached criterion per form: they must agree at every N, and
     # with the per-prime verdicts at primes outside the relevant set too
     rng = random.Random(56)
@@ -100,7 +101,7 @@ def test_local_paths_agree():
                   if p <= 7 or 2 * (form.m - 2) * math.prod(coeffs) % p == 0]
         for N in range(bound + 1):
             agg = locally_represents(form, N)
-            assert _locally_represented(form, N) is agg.represented, (form, N)
+            assert agg.represented is all(v.represented for v in agg.verdicts), (form, N)
             assert flags[N] == agg.represented, (form, N)
             obstructed += not agg.represented
             if N % 10 == 0:
@@ -113,6 +114,58 @@ def test_local_paths_agree():
             represents(form, -1)
     assert rules == {1, 2, 3, 4, UNIMODULAR_SHORTCUT}
     assert obstructed > 0
+
+
+def test_verdicts_are_built_on_first_read(monkeypatch):
+    built = []
+    verdict = localrep._verdict
+
+    def counted(*args):
+        built.append(args[2])
+        return verdict(*args)
+
+    monkeypatch.setattr(localrep, "_verdict", counted)
+    form = MgonalForm(7, (1, 1, 3, 9, 9))
+    agg = locally_represents(form, 33)
+    assert not agg.represented and not agg
+    assert built == []
+    verdicts = agg.verdicts
+    assert built == [2, 3]
+    assert agg.verdicts is verdicts and agg.to_json()["verdicts"][1]["p"] == 3
+    assert built == [2, 3]
+
+
+def test_aggregate_json_matches_the_per_prime_verdicts():
+    # the aggregate as the per-prime verdicts at the relevant primes build
+    # it: the rest of the primes of 2(m-2)a_1...a_n, and 3, 5 and 7, are
+    # rule 1 or the unimodular shortcut, which represent every N
+    rng = random.Random(57)
+    rules = set()
+    targets = set()
+    for _ in range(40):
+        rank = rng.randint(3, 6)
+        coeffs = [rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 25))
+                  for _ in range(rank)]
+        coeffs[rng.randrange(rank)] = 1
+        form = MgonalForm(rng.randint(3, 32), tuple(coeffs))
+        relevant = relevant_primes(form)
+        primes = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                  if p <= 7 or 2 * (form.m - 2) * math.prod(coeffs) % p == 0]
+        for N in [0] + [rng.randint(1, 10**6) for _ in range(10)]:
+            at = {p: locally_represents_at(form, N, p) for p in primes}
+            for p, v in at.items():
+                assert (p in relevant) is (v.rule not in (1, UNIMODULAR_SHORTCUT)), (form, p)
+                assert v.represented or p in relevant
+            expected = {
+                "represented": all(at[p].represented for p in relevant),
+                "verdicts": [at[p].to_json() for p in relevant],
+            }
+            agg = locally_represents(form, N)
+            assert agg.to_json() == expected, (form, N)
+            rules.update(v.rule for v in at.values())
+            targets.add((N == 0, agg.represented))
+    assert rules == {1, 2, 3, 4, UNIMODULAR_SHORTCUT}
+    assert {(True, True), (False, True), (False, False)} <= targets
 
 
 def test_oracle_equivalence_random():

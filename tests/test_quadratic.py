@@ -434,6 +434,23 @@ class TestEq2:
         after = _pair_states.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    def test_no_pair_table_where_it_cannot_refute(self):
+        """No pair table is read after a level-1 walk with no survivors and
+        no cut, which is already a proof, nor at a modulus p^d that a
+        survivor of level d-1 solves.  At p >= 5, l2 <= 2, so the deep
+        witnesses there, which survive level 1, read none."""
+        cases = json.loads((GOLDEN / "eq2_deep_witnesses.json").read_text())
+        calls = [(MgonalForm(5, (1, 13, 13, 13, 13, 13, 13)), (1, 0, 0), 13, 1)]
+        calls += [(MgonalForm(case["m"], tuple(case["coeffs"])),
+                   (case["A"], case["B"], case["k"]), case["p"], case["scale"])
+                  for case in cases if case["p"] >= 5]
+        assert len(calls) == 6
+        for form, (A, B, k), p, scale in calls:
+            before = _pair_states.cache_info()
+            solvable_eq2_at(form, A, B, k, eq2_context(form, p), scale=scale)
+            after = _pair_states.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses), form
+
     def test_newly_decided_verdicts(self):
         """Calls that the node budget or the depth once left undecided,
         each unsolvable with an independent certificate: no solution of the
