@@ -48,7 +48,6 @@ from .quadratic import (
     JordanDecomposition,
     ReducedQuadratic,
     bareiss_determinant,
-    eq2_context,
     eq2_residual,
     eq2_stability_depth,
     is_isotropic,

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 from .arith import (
     INFINITY,
     PAdicContext,
+    _require_prime,
     hilbert_symbol,
     is_padic_square,
     legendre_symbol,
@@ -329,8 +330,8 @@ def _gram_of(A, vectors, mod):
 
 
 def _ord(x: int, p: int) -> int:
-    """ord_p of a nonzero x.  For a p that a ``PAdicContext`` has already
-    validated; ``arith.ordp`` would test its primality again."""
+    """ord_p of a nonzero x, for a p already known to be prime;
+    ``arith.ordp`` would test its primality again."""
     v = 0
     while x % p == 0:
         x //= p
@@ -573,7 +574,7 @@ EQ2_UNSOLVABLE = "unsolvable"
 EQ2_UNKNOWN = "unsolvable-within-strata"
 
 
-#: Precision that ``eq2_context`` adds on top of the stability depth.
+#: Precision that ``solvable_eq2_at`` works at on top of the stability depth.
 EQ2_MARGIN = 4
 
 #: Cap on the nodes of one level of the eq2 walk, on the prefixes that
@@ -626,10 +627,6 @@ def eq2_stability_depth(form: MgonalForm, p: int) -> int:
         return int(3 + ordp(a1, 2) + 2 * ordp(d, 2))
     lead = ordp(a1, p) if is_bad_prime(form, p) else 0
     return int(1 + lead + 2 * ordp(d, p))
-
-
-def eq2_context(form: MgonalForm, p: int) -> PAdicContext:
-    return PAdicContext(p, eq2_stability_depth(form, p) + EQ2_MARGIN)
 
 
 def eq2_constants(form: MgonalForm, A: int, B: int, k: int) -> tuple[int, int]:
@@ -744,12 +741,12 @@ def _certify(y, val, lin, lead, scale_a1, p):
     return (y, None if best is None else lift)
 
 
-def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
-    """Certified congruence walk for primitive solutions y.  Returns
-    (outcome, budget_exhausted_flag): the first certified node as
-    (witness_y, lift_coordinate_or_None); ``EQ2_UNSOLVABLE`` when the walk
-    proves that no primitive solution exists or ``refuted`` disproved the
-    equation; else ``EQ2_UNKNOWN``.
+def _eq2_walk(c, R, scale, a1, tail, p, depth):
+    """Certified congruence walk for primitive solutions y, with its
+    disproofs.  Returns (outcome, budget_exhausted_flag): the first
+    certified node as (witness_y, lift_coordinate_or_None);
+    ``EQ2_UNSOLVABLE`` when the walk proves that no primitive solution
+    exists or a disproof held; else ``EQ2_UNKNOWN``.
 
     Level 1 holds the nonzero y mod p with value = 0 mod p: the roots from
     ``_eq2_roots`` at an odd p, the 2^n residues filtered at p = 2.  Level
@@ -762,11 +759,16 @@ def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
     the next congruence level or none do, and the residues of a primitive
     solution survive every level until one certifies: a walk with no cut
     that runs out of survivors, at any level up to ``depth``, proves that
-    there is none, and ends the walk with no further check.  Otherwise,
-    between levels, the walk asks ``refuted(size, solved)``: size is the
-    next level's full node count (0 after the last level), and solved is
-    l+1 when level l has survivors, since each solves the congruence mod
-    p^(l+1), else 0.
+    there is none, and ends the walk with no further check.
+
+    The disproofs are the exhaustive pair congruence mod p^l2 (l2 from
+    ``_congruence_depth``), tried after level 1, and mod p^d for d = l2+1,
+    ... while p^(2d) stays within ``EQ2_NODE_BUDGET``, tried once, before
+    the walk expands a level past the budget or else before it returns
+    ``EQ2_UNKNOWN``.  Once a level l has had survivors, each solves the
+    congruence mod p^(l+1), so no modulus p^d with d <= l+1 is built: it
+    cannot refute.  No verdict depends on when a disproof runs, so this
+    schedule only sets the cost.
 
     Children are generated lazily in lexicographic order, so the first
     certified node is returned without building the rest of its level.
@@ -776,6 +778,9 @@ def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
     n = len(tail)
     lead = [2 * scale * t for t in tail]
     scale_a1 = scale * a1
+    l2 = _congruence_depth(p, depth)
+    deeper = list(takewhile(lambda d: p ** (2 * d) <= EQ2_NODE_BUDGET, count(l2 + 1)))
+    solved = 0  # the congruence is known solvable mod p^d for every d <= solved
     budget_hit = False
     nodes = product(range(2), repeat=n) if p == 2 else \
         _eq2_roots(c, R, scale, a1, tail, p)
@@ -797,8 +802,14 @@ def _stratum_search(c, R, scale, a1, tail, p, depth, refuted):
                 survivors.append(y)
         if not (survivors or budget_hit):
             return EQ2_UNSOLVABLE, budget_hit
+        if survivors:
+            solved = level + 1
         size = len(survivors) * p ** n if level < depth else 0
-        if refuted(size, level + 1 if survivors else 0):
+        depths = [l2] if level == 1 else []
+        if size > EQ2_NODE_BUDGET or not size:
+            depths, deeper = depths + deeper, []
+        if any(not _pair_congruence_solvable(c, R, scale, a1, tail, p, d)
+               for d in depths if d > solved):
             return EQ2_UNSOLVABLE, budget_hit
         if not size:
             return EQ2_UNKNOWN, budget_hit
@@ -880,62 +891,32 @@ def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
     return False
 
 
-def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, ctx: PAdicContext,
+def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, p: int,
                     *, scale: int = 1) -> Eq2Verdict:
     """Decide whether the reduced representation equation
 
         (B + k(m-2) - scale * sum_{i>=2} a_i x_i)^2
             + scale^2 * sum_{i>=2} a_1 a_i x_i^2 = (2A + B + k(m-4)) a_1
 
-    has a p-adic solution with (x_2,...,x_n) primitive, by one walk of
-    ``_stratum_search``.  A certified node is such a solution and gives
-    ``EQ2_PRIMITIVE``.  ``EQ2_UNSOLVABLE`` means no primitive solution at
-    this scale: the walk ran out of survivors or a disproof held.  A
-    solution p^sigma y with y primitive is a primitive solution at scale
-    scale * p^sigma, so a caller asks about it at that scale.  The disproofs
-    are the exhaustive pair congruence mod p^l2 (l2 from
-    ``_congruence_depth``), tried after level 1 when no root certified and
-    some node survived it, and mod p^d for d = l2+1, ... while p^(2d) stays
-    within ``EQ2_NODE_BUDGET``, tried once, before the walk expands a level
-    past the budget or else before an undecided verdict (``EQ2_UNKNOWN``).
-    A modulus p^d is dropped unbuilt once a survivor of level d-1 or deeper
-    solves the congruence mod p^d: it cannot refute.
+    has a p-adic solution with (x_2,...,x_n) primitive, by one
+    ``_eq2_walk`` to depth ``eq2_stability_depth(form, p) + EQ2_MARGIN``:
+    the form fixes the depth, and the verdict reports it as its precision.
+    A certified node is such a solution and gives ``EQ2_PRIMITIVE``.
+    ``EQ2_UNSOLVABLE`` means no primitive solution at this scale: the walk
+    ran out of survivors or one of its disproofs held.  A solution
+    p^sigma y with y primitive is a primitive solution at scale
+    scale * p^sigma, so a caller asks about it at that scale.
     """
     if form.rank < 2:
         raise InputError("the reduced equation needs rank >= 2")
     if scale < 1:
         raise InputError("scale must be a positive integer")
-    p = ctx.p
-    need = eq2_stability_depth(form, p)
-    if ctx.precision < need:
-        raise ContractError(
-            f"precision {ctx.precision} below the stability depth {need}"
-        )
+    _require_prime(p)
     a1 = form.coeffs[0]
     tail = form.coeffs[1:]
     c, R = eq2_constants(form, A, B, k)
-    depth = ctx.precision
-    l2 = _congruence_depth(p, depth)
-    first = [l2] if l2 else []
-    deeper = list(takewhile(lambda d: p ** (2 * d) <= EQ2_NODE_BUDGET, count(l2 + 1)))
-
-    def refuted(size, solved) -> bool:
-        """The walk's check between levels: mod p^l2 at the first call, then
-        the deeper moduli once, at the first size past the budget.  Moduli
-        p^d with d <= solved, where the congruence is known solvable, are
-        dropped."""
-        nonlocal first, deeper
-        first = [d for d in first if d > solved]
-        deeper = [d for d in deeper if d > solved]
-        depths, first = first, []
-        if size > EQ2_NODE_BUDGET:
-            depths, deeper = depths + deeper, []
-        return any(not _pair_congruence_solvable(c, R, scale, a1, tail, p, d)
-                   for d in depths)
-
-    found, budget_hit = _stratum_search(c, R, scale, a1, tail, p, depth, refuted)
-    if found == EQ2_UNKNOWN and refuted(INFINITY, 0):
-        found = EQ2_UNSOLVABLE
+    depth = eq2_stability_depth(form, p) + EQ2_MARGIN
+    found, budget_hit = _eq2_walk(c, R, scale, a1, tail, p, depth)
     if found == EQ2_UNSOLVABLE:
         return Eq2Verdict(status=EQ2_UNSOLVABLE, witness=None,
                           precision=depth, budget_exhausted=False)

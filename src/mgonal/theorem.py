@@ -17,13 +17,16 @@ from .quadratic import (
     EQ2_PRIMITIVE,
     EQ2_UNKNOWN,
     Eq2Verdict,
-    eq2_context,
     eq2_stability_depth,
     is_bad_prime,
     reduced_quadratic,
     solvable_eq2_at,
 )
 from .serialize import json_int
+
+#: Cap on the k that ``admissible_k`` scans; a search that stops here before
+#: it fills ``pair_cap`` is flagged as truncated.
+K_SCAN_LIMIT = 4096
 
 ODD_GOOD = "odd-good"
 ODD_BAD = "odd-bad"
@@ -160,7 +163,7 @@ class AdmissibleSearch:
     An empty result for a locally represented target is an anomaly (the
     theory guarantees a pair with k <= K(a)), reported rather than raised.
     ``scanned_k`` counts the k values the scan visited; ``truncated`` means
-    it stopped at ``k_limit`` before filling ``pair_cap``.
+    it stopped at ``K_SCAN_LIMIT`` before filling ``pair_cap``.
     """
 
     form: MgonalForm
@@ -210,21 +213,21 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" + ("" if n == 1 else "s")
 
 
-def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
-                 k_limit: int | None = 4096) -> AdmissibleSearch:
+def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16) -> AdmissibleSearch:
     """All (k, P) pairs (ascending k, then P, up to ``pair_cap``) for which the
     scaled reduced equation is primitively solvable at every relevant prime.
 
     Per prime, admissibility depends only on k modulo p^(stability exponent),
     so verdicts are memoized per residue and the scan over k is capped at the
     product of the per-prime periods (a full set of Chinese-remainder
-    representatives); ``k_limit`` bounds the scan further for pathologically
-    large periods, in which case the result is flagged as truncated.
+    representatives); ``K_SCAN_LIMIT`` bounds the scan further for
+    pathologically large periods, in which case the result is flagged as
+    truncated.
 
     ``solvable_eq2_at`` asks whether the equation at scale P has a primitive
-    solution at p; a solution p^sigma y at scale P is a primitive one at
-    scale P p^sigma, which the loop over P tries when it is among the
-    scales.  Its walk and the deeper congruence disproofs share one node
+    solution at p, at the depth that the form fixes there; a solution
+    p^sigma y at scale P is a primitive one at scale P p^sigma, which the
+    loop over P tries when it is among the scales.  Its walk and the deeper congruence disproofs share one node
     budget, and no prime is too large to try.  A residue whose verdict is
     still undecided (``EQ2_UNKNOWN``) counts as not admissible.  Whenever a
     prime has such residues, or verdicts whose walk hit its node budget, the
@@ -253,16 +256,15 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     for p in primes:
         period *= p ** exponents[p]
     full_stop = min(kc.value + 1, period)
-    scan_stop = full_stop if k_limit is None else min(full_stop, k_limit)
+    scan_stop = min(full_stop, K_SCAN_LIMIT)
     scales = _scale_options(form, primes)
-    contexts = {p: eq2_context(form, p) for p in primes}
     memo: dict[tuple[int, int, int], Eq2Verdict] = {}
 
     def prime_verdict(p: int, k: int, s: int) -> Eq2Verdict:
         key = (p, k % p ** exponents[p], s)
         if key not in memo:
             memo[key] = solvable_eq2_at(
-                form, dec.A, dec.B, key[1], contexts[p], scale=p ** s
+                form, dec.A, dec.B, key[1], p, scale=p ** s
             )
         return memo[key]
 
@@ -291,7 +293,7 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16,
     truncated = scan_stop < full_stop and len(pairs) < pair_cap
     if truncated:
         diagnostics.append(
-            f"k scan truncated at {k_limit} (full residue period is {period})"
+            f"k scan truncated at {K_SCAN_LIMIT} (full residue period is {period})"
         )
     for p in primes:
         tested = [v for key, v in memo.items() if key[0] == p]

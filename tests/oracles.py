@@ -4,8 +4,9 @@ These deliberately avoid the production decision paths: determinants by
 cofactor expansion, local solvability by iterative-deepening congruence
 enumeration with lift verification, isotropy by exhaustive residue search
 over value tables, global representability by set-based reachability, the
-auxiliary pair congruence by set-based state enumeration.  The exhaustive
-congruence scan is capped by the MGONAL_ORACLE_CAP environment variable.
+auxiliary pair congruence by packed state enumeration, checked against a
+set-based one.  The exhaustive congruence scan is capped by the
+MGONAL_ORACLE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -220,11 +221,58 @@ def _tail_sum_states(tail, mod, p):
     return frozenset(states)
 
 
+@lru_cache(maxsize=None)
+def _pair_stages(tail, mod, p):
+    """The states of ``_tail_sum_states`` packed as a pair of mod^2-bit ints
+    (no unit coordinate yet, some unit coordinate): bit s*mod + q is set
+    when (s, q) is reached.  A coordinate value y moves a state by
+    (a y, a y^2): every row turns by dq = a y^2 (its bits with q < mod - dq
+    go up, the rest wrap round), then the rows turn by ds = a y, a rotation
+    of the whole int by ds*mod bits.  Values y prime to p carry either flag
+    to the second int; with p None every vector counts as having a unit
+    coordinate."""
+    size = mod * mod
+    full = (1 << size) - 1
+    rows = full // ((1 << mod) - 1)  # bit 0 of every row
+
+    def move(x, ds, dq):
+        low = rows * ((1 << (mod - dq)) - 1)
+        x = (x & low) << dq | (x & ~low) >> (mod - dq)
+        return (x << ds * mod | x >> (size - ds * mod)) & full
+
+    none, some = (1, 0) if p is not None else (0, 1)
+    for a in tail:
+        nxt_none = nxt_some = 0
+        for ds, dq, unit in {(a * y % mod, a * y * y % mod, p is not None and y % p != 0)
+                             for y in range(mod)}:
+            if unit:
+                nxt_some |= move(none | some, ds, dq)
+            else:
+                nxt_none |= move(none, ds, dq)
+                nxt_some |= move(some, ds, dq)
+        none, some = nxt_none, nxt_some
+    return none, some
+
+
 def pair_congruence_oracle(c, R, scale, a1, tail, mod, *, p=None) -> bool:
     """Whether (c - scale*s)^2 + scale^2 a_1 q = R (mod ``mod``) for some tail
-    vector x, with s and q its linear and quadratic sums, by enumerating every
-    reachable (s, q) as a set of tuples.  With ``p`` given, only vectors with a
-    coordinate prime to p count."""
+    vector x, with s and q its linear and quadratic sums, by scanning every
+    reachable (s, q) of the packed ``_pair_stages``.  With ``p`` given, only
+    vectors with a coordinate prime to p count."""
+    some = _pair_stages(tuple(tail), mod, p)[1]
+    row = (1 << mod) - 1
+    for s in range(mod):
+        bits = some >> s * mod & row
+        t = (c - scale * s) ** 2 - R
+        if bits and any(bits >> q & 1 and (t + scale * scale * a1 * q) % mod == 0
+                        for q in range(mod)):
+            return True
+    return False
+
+
+def pair_congruence_reference(c, R, scale, a1, tail, mod, *, p=None) -> bool:
+    """``pair_congruence_oracle`` by enumerating every reachable (s, q) as a
+    set of tuples: the reference that the packed form is checked against."""
     return any(
         unit and ((c - scale * s) ** 2 + scale * scale * a1 * q - R) % mod == 0
         for s, q, unit in _tail_sum_states(tuple(tail), mod, p)

@@ -16,7 +16,6 @@ from mgonal import (
     PAdicContext,
     bad_primes,
     bareiss_determinant,
-    eq2_context,
     eq2_residual,
     evaluate,
     exceptional_set,
@@ -35,8 +34,10 @@ from mgonal import (
 from mgonal.localrep import relevant_primes
 from mgonal.polygonal import decompose_target
 from mgonal.quadratic import (
+    EQ2_MARGIN,
     EQ2_PRIMITIVE,
     _diagonal_solvable,
+    eq2_stability_depth,
     solvable_eq2_at,
 )
 from mgonal.theorem import DYADIC, ODD_BAD, ODD_GOOD, admissible_k
@@ -214,7 +215,7 @@ def test_criterion_06_unit_rich_primitive_solvability():
             A = rng.randint(-20, 20)
             B = rng.randint(-20, 20)
             k = rng.randint(-20, 20)
-            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p))
+            v = solvable_eq2_at(form, A, B, k, p)
             assert v.status == EQ2_PRIMITIVE, (form.describe(), p, A, B, k)
 
 
@@ -228,19 +229,18 @@ def _sample_primitive_base(rng):
         A = rng.randint(0, 20)
         B = rng.randint(0, form.m - 3) if form.m > 3 else 0
         k = rng.randint(0, 10)
-        ctx = eq2_context(form, p)
-        if ctx.precision > 24:
+        if eq2_stability_depth(form, p) + EQ2_MARGIN > 24:
             continue
-        v = solvable_eq2_at(form, A, B, k, ctx)
+        v = solvable_eq2_at(form, A, B, k, p)
         if v.status == EQ2_PRIMITIVE:
-            return form, p, A, B, k, ctx
+            return form, p, A, B, k
 
 
 def test_criterion_07_stability_exponents():
     with criterion(7, "verdicts stable under k shifts by the regime modulus", 300.0):
         rng = random.Random(70707)
         for _ in range(30):
-            form, p, A, B, k, ctx = _sample_primitive_base(rng)
+            form, p, A, B, k = _sample_primitive_base(rng)
             se = k_stability_exponent(form, p)
             modulus = p ** se.e
             a1 = form.coeffs[0]
@@ -256,7 +256,7 @@ def test_criterion_07_stability_exponents():
                 # a solution p^sigma y, y primitive, is a primitive solution
                 # at scale p^sigma: some min-order within the bound must occur
                 assert any(
-                    solvable_eq2_at(form, A, B, kp, ctx, scale=p ** sigma).status
+                    solvable_eq2_at(form, A, B, kp, p, scale=p ** sigma).status
                     == EQ2_PRIMITIVE for sigma in range(bound + 1)
                 ), (form.describe(), p, A, B, kp)
 
@@ -286,7 +286,7 @@ def test_criterion_08_admissible_pairs():
                 for ev in pair.evidence:
                     check = solvable_eq2_at(
                         form, dec.A, dec.B, ev.k_residue,
-                        eq2_context(form, ev.p), scale=ev.p ** ev.s,
+                        ev.p, scale=ev.p ** ev.s,
                     )
                     assert check.status == EQ2_PRIMITIVE
             done += 1

@@ -115,9 +115,7 @@ def test_admissible_k_at_a_large_coefficient_prime(capsys):
 
 
 def test_admissible_k_text_prints_diagnostics_with_pairs(capsys, monkeypatch):
-    real = mgonal.theorem.admissible_k
-    monkeypatch.setattr(mgonal.cli, "admissible_k",
-                        lambda form, n: real(form, n, k_limit=1))
+    monkeypatch.setattr(mgonal.theorem, "K_SCAN_LIMIT", 1)
     code, out, _ = run(capsys, "admissible-k", "--m", "12",
                        "--coeffs", "10,9,9,1,1", "--n", "52")
     assert code == 0

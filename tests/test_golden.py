@@ -23,10 +23,14 @@ from mgonal import (
     MgonalForm,
     admissible_k,
     bad_primes,
-    eq2_context,
     k_stability_exponent,
 )
-from mgonal.quadratic import EQ2_UNSOLVABLE, solvable_eq2_at
+from mgonal.quadratic import (
+    EQ2_MARGIN,
+    EQ2_UNSOLVABLE,
+    eq2_stability_depth,
+    solvable_eq2_at,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,7 +113,8 @@ def depth_grid() -> list[MgonalForm]:
 
 
 def depth_record(form: MgonalForm) -> dict:
-    out = {"precision": [eq2_context(form, p).precision for p in DEPTH_PRIMES]}
+    out = {"precision": [eq2_stability_depth(form, p) + EQ2_MARGIN
+                         for p in DEPTH_PRIMES]}
     if form.rank >= 5:
         out["k_stability"] = [
             [se.e, se.regime]
@@ -137,7 +142,7 @@ def test_eq2_verdicts_are_pinned():
     for case in cases:
         form = MgonalForm(case["m"], tuple(case["coeffs"]))
         v = solvable_eq2_at(form, case["A"], case["B"], case["k"],
-                            eq2_context(form, case["p"]), scale=case["scale"])
+                            case["p"], scale=case["scale"])
         got = (v.status, None if v.witness is None else list(v.witness),
                v.precision)
         assert got == (case["status"], case["witness"], case["precision"]), case
@@ -162,6 +167,6 @@ def test_budget_hit_instances_are_pinned(m, coeffs, N):
 def test_disproof_settles_the_budget_hit_call():
     # the call that exhausted the node budget has no solution mod 2^6
     form = MgonalForm(11, (8, 1, 9, 11, 4))
-    v = solvable_eq2_at(form, 0, 2, 0, eq2_context(form, 2), scale=2)
+    v = solvable_eq2_at(form, 0, 2, 0, 2, scale=2)
     assert v.status == EQ2_UNSOLVABLE
     assert v.budget_exhausted is False

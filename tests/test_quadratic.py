@@ -13,7 +13,6 @@ from mgonal import (
     InputError,
     MgonalForm,
     bareiss_determinant,
-    eq2_context,
     eq2_residual,
     is_isotropic,
     reduced_quadratic,
@@ -21,6 +20,7 @@ from mgonal import (
 import mgonal.quadratic as quadratic
 from mgonal.arith import PAdicContext, least_nonresidue, legendre_symbol
 from mgonal.quadratic import (
+    EQ2_MARGIN,
     EQ2_PRIMITIVE,
     EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
@@ -30,6 +30,7 @@ from mgonal.quadratic import (
     _pair_states,
     _unit_reachable,
     eq2_constants,
+    eq2_stability_depth,
     solvable_eq2_at,
 )
 
@@ -38,6 +39,7 @@ from oracles import (
     _isotropy_reach_reference,
     _isotropy_stages,
     _isotropy_witness,
+    _pair_stages,
     _square_class_rep,
     _tail_sum_states,
     cofactor_determinant,
@@ -45,6 +47,7 @@ from oracles import (
     diagonal_residue_oracle,
     isotropy_oracle,
     pair_congruence_oracle,
+    pair_congruence_reference,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -269,12 +272,12 @@ class TestIsotropy:
 class TestEq2:
     def test_unit_rich_is_primitively_solvable(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
-        v = solvable_eq2_at(form, 1, 0, 0, eq2_context(form, 7))
+        v = solvable_eq2_at(form, 1, 0, 0, 7)
         assert v.status == EQ2_PRIMITIVE
 
     def test_zero_parameters(self):
         form = MgonalForm(5, (1, 1, 1, 1, 1))
-        v = solvable_eq2_at(form, 0, 0, 0, eq2_context(form, 3))
+        v = solvable_eq2_at(form, 0, 0, 0, 3)
         assert v.status == EQ2_PRIMITIVE
 
     def test_witness_verifies(self):
@@ -285,8 +288,7 @@ class TestEq2:
             form = MgonalForm(rng.randint(3, 10), tuple(coeffs))
             p = rng.choice([3, 5, 7])
             A, B, k = rng.randint(0, 20), rng.randint(0, 3), rng.randint(0, 6)
-            ctx = eq2_context(form, p)
-            v = solvable_eq2_at(form, A, B, k, ctx)
+            v = solvable_eq2_at(form, A, B, k, p)
             if v.witness is not None:
                 res = eq2_residual(form, A, B, k, v.witness)
                 assert res % p ** v.precision == 0
@@ -299,10 +301,9 @@ class TestEq2:
         for m, coeffs, (A, B, k), p in ((8, (9, 2, 2, 3, 3), (1, 0, 4), 3),
                                         (7, (18, 2, 1), (34, 0, 12), 2)):
             form = MgonalForm(m, coeffs)
-            ctx = eq2_context(form, p)
-            v = solvable_eq2_at(form, A, B, k, ctx)
+            v = solvable_eq2_at(form, A, B, k, p)
             assert (v.status, v.witness) == (EQ2_UNSOLVABLE, None), form
-            v = solvable_eq2_at(form, A, B, k, ctx, scale=p)
+            v = solvable_eq2_at(form, A, B, k, p, scale=p)
             assert v.status == EQ2_PRIMITIVE, form
             assert any(x % p for x in v.witness)
             assert eq2_residual(form, A, B, k, v.witness, scale=p) % p ** v.precision == 0
@@ -316,8 +317,7 @@ class TestEq2:
 
     def test_unsolvable_detected(self):
         form = MgonalForm(7, (9, 1, 3, 6, 6))
-        ctx = eq2_context(form, 3)
-        v = solvable_eq2_at(form, 0, 0, 1, ctx)
+        v = solvable_eq2_at(form, 0, 0, 1, 3)
         assert v.status == EQ2_UNSOLVABLE
         # independent: the congruence mod 3^4 has no solutions at all
         mod = 3 ** 4
@@ -330,7 +330,7 @@ class TestEq2:
     def test_pair_congruence_matches_the_oracle(self):
         """Seeded cases over ranks 3-6, p in {2, 3, 5, 7, 11}, scale in
         {1, p, p^2} and a_1 sometimes multiplied by p: the cached disproof
-        equals the set enumeration mod p^l2, no solution there makes the
+        equals the oracle mod p^l2, no solution there makes the
         verdict unsolvable, and witnesses verify.  (The converse fails: an
         empty stratum walk or a deeper congruence also disproves.)  The multiplier
         g = scale^2 a_1 mod p^l2 of q is met as a unit, as p^j u with j >= 1
@@ -355,8 +355,7 @@ class TestEq2:
                 a1, tail = form.coeffs[0], form.coeffs[1:]
                 A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), \
                     rng.randint(0, 30)
-                ctx = eq2_context(form, p)
-                l2 = _congruence_depth(p, ctx.precision)
+                l2 = _congruence_depth(p, eq2_stability_depth(form, p) + EQ2_MARGIN)
                 g = scale * scale * a1 % p ** l2
                 multipliers.add("zero" if g == 0 else "unit" if g % p else "p^j u")
                 c, R = eq2_constants(form, A, B, k)
@@ -364,7 +363,7 @@ class TestEq2:
                 case = (form.describe(), A, B, k, p, scale)
                 assert _pair_congruence_solvable(
                     c, R, scale, a1, tail, p, l2) == expected, case
-                v = solvable_eq2_at(form, A, B, k, ctx, scale=scale)
+                v = solvable_eq2_at(form, A, B, k, p, scale=scale)
                 statuses.add(v.status)
                 if not expected:
                     assert v.status == EQ2_UNSOLVABLE, case
@@ -389,6 +388,34 @@ class TestEq2:
                         expected[s] |= 1 << q
                     assert _pair_states(tail, mod) == tuple(expected), (tail, mod)
 
+    def test_packed_pair_oracle_matches_the_set_enumeration(self):
+        """The packed pair oracle reaches exactly the (s, q) states of the
+        set enumeration, under each unit flag, on every tail of rank <= 3
+        with entries <= 6, mod 2^4 and mod 3^3, with and without p; and at
+        seeded (c, R, scale, a_1) the two answer the congruence alike."""
+        rng = random.Random(1618)
+        answers = set()
+        for p, mod in ((2, 16), (3, 27)):
+            for rank in (1, 2, 3):
+                for tail in combinations_with_replacement(range(1, 7), rank):
+                    for unit_p in (None, p):
+                        states = _tail_sum_states(tail, mod, unit_p)
+                        packed = _pair_stages(tail, mod, unit_p)
+                        for flag in (0, 1):
+                            assert packed[flag] == sum(
+                                1 << s * mod + q for s, q, unit in states
+                                if unit == flag), (tail, mod, unit_p, flag)
+                        for _ in range(4):
+                            c, R, a1 = rng.randrange(mod), rng.randrange(mod), \
+                                rng.randint(1, 12)
+                            scale = rng.choice((1, p, p * p))
+                            got = pair_congruence_oracle(c, R, scale, a1, tail, mod, p=unit_p)
+                            assert got == pair_congruence_reference(
+                                c, R, scale, a1, tail, mod, p=unit_p), \
+                                (c, R, scale, a1, tail, mod, unit_p)
+                            answers.add(got)
+        assert answers == {True, False}
+
     def test_deep_witnesses_are_pinned(self):
         """Calls whose first certified stratum node lies at level 2 or deeper:
         the 39 such calls of the benchmark's admissible search (31 at p = 2,
@@ -401,11 +428,41 @@ class TestEq2:
         for case in cases:
             form = MgonalForm(case["m"], tuple(case["coeffs"]))
             v = solvable_eq2_at(form, case["A"], case["B"], case["k"],
-                                eq2_context(form, case["p"]), scale=case["scale"])
+                                case["p"], scale=case["scale"])
             got = (v.status, None if v.witness is None else list(v.witness),
                    v.precision, v.budget_exhausted)
             assert got == (case["status"], case["witness"], case["precision"],
                            case["budget_exhausted"]), case
+
+    def test_disproof_schedule_is_pinned(self, monkeypatch):
+        """Each call runs the same pair-congruence disproofs in the same
+        order as when the schedule lived in a callback outside the walk: the
+        record, made then, holds each call's status and the (p, d, result)
+        of every ``_pair_congruence_solvable`` call.  It covers 300 seeded
+        calls (ranks 3-6, p <= 13, scale 1, p or p^2), <8,1,9,11,4>_11 at
+        (0, 2, 10), scale 4, p = 2, whose deeper tier runs mod 2^6, 2^7 and
+        2^8, and the first 50 calls of test_cut_walks_prove_nothing's sample
+        at its node budget of 3, whose levels are cut."""
+        cases = json.loads((GOLDEN / "eq2_disproof_schedule.json").read_text())
+        assert len(cases) == 351
+        real = quadratic._pair_congruence_solvable
+        log = []
+
+        def logged(c, R, scale, a1, tail, p, depth):
+            result = real(c, R, scale, a1, tail, p, depth)
+            log.append([p, depth, result])
+            return result
+
+        monkeypatch.setattr(quadratic, "_pair_congruence_solvable", logged)
+        budget = quadratic.EQ2_NODE_BUDGET
+        for case in cases:
+            monkeypatch.setattr(quadratic, "EQ2_NODE_BUDGET",
+                                case.get("node_budget", budget))
+            log.clear()
+            form = MgonalForm(case["m"], tuple(case["coeffs"]))
+            v = solvable_eq2_at(form, case["A"], case["B"], case["k"], case["p"],
+                                scale=case["scale"])
+            assert (v.status, log) == (case["status"], case["calls"]), case
 
     def test_tail_divisible_by_p_needs_no_root_scan(self):
         # every tail coefficient is divisible by 13, so the value is c^2 - R
@@ -413,10 +470,9 @@ class TestEq2:
         # call is unsolvable; at (0, 1, 0) c^2 = R, and the first residues of
         # the 13^6 certify at once
         form = MgonalForm(5, (1, 13, 13, 13, 13, 13, 13))
-        ctx = eq2_context(form, 13)
-        v = solvable_eq2_at(form, 1, 0, 0, ctx)
+        v = solvable_eq2_at(form, 1, 0, 0, 13)
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
-        v = solvable_eq2_at(form, 0, 1, 0, ctx)
+        v = solvable_eq2_at(form, 0, 1, 0, 13)
         assert v.status == EQ2_PRIMITIVE and not v.budget_exhausted
         assert eq2_residual(form, 0, 1, 0, v.witness) % 13 ** v.precision == 0
 
@@ -426,9 +482,8 @@ class TestEq2:
         # budget, certifies its first nonzero root
         form = MgonalForm(10009, (1, 1, 1, 1, 10007))
         assert _congruence_depth(10007, 1) == 0
-        ctx = eq2_context(form, 10007)
         before = _pair_states.cache_info()
-        v = solvable_eq2_at(form, 0, 1, 0, ctx)
+        v = solvable_eq2_at(form, 0, 1, 0, 10007)
         assert v.status == EQ2_PRIMITIVE and not v.budget_exhausted
         assert eq2_residual(form, 0, 1, 0, v.witness) % 10007 ** v.precision == 0
         after = _pair_states.cache_info()
@@ -447,7 +502,7 @@ class TestEq2:
         assert len(calls) == 6
         for form, (A, B, k), p, scale in calls:
             before = _pair_states.cache_info()
-            solvable_eq2_at(form, A, B, k, eq2_context(form, p), scale=scale)
+            solvable_eq2_at(form, A, B, k, p, scale=scale)
             after = _pair_states.cache_info()
             assert (after.hits, after.misses) == (before.hits, before.misses), form
 
@@ -469,29 +524,30 @@ class TestEq2:
                 assert (c * c - R) % p
             assert not pair_congruence_oracle(c, R, scale, coeffs[0], coeffs[1:], mod,
                                               p=p if primitive else None)
-            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p), scale=scale)
+            v = solvable_eq2_at(form, A, B, k, p, scale=scale)
             assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted, form
         form = MgonalForm(11, (8, 1, 9, 11, 4))
         c, R = eq2_constants(form, 0, 2, 10)
         assert not _pair_congruence_solvable(c, R, 4, 8, (1, 9, 11, 4), 2, 8)
-        v = solvable_eq2_at(form, 0, 2, 10, eq2_context(form, 2), scale=4)
+        v = solvable_eq2_at(form, 0, 2, 10, 2, scale=4)
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
 
     def test_stratum_zero_walks_decide(self):
         """Calls once undecided only because a later stratum x = p^sigma y
         was walked: their one walk runs out of survivors, so each has no
         primitive solution, and the oracle finds none among the primitive
-        vectors mod 2^4 and 3^6."""
+        vectors mod 2^4, 3^6 and 5^4."""
         cases = (  # m, coeffs, (A, B, k), p, oracle exponent
             (5, (4, 1, 10), (8, 0, 0), 2, 4),
             (5, (27, 27, 1, 1), (49, 0, 10), 3, 6),
+            (8, (50, 2, 10, 1), (12, 3, 7), 5, 4),
         )
         for m, coeffs, (A, B, k), p, e in cases:
             form = MgonalForm(m, coeffs)
             c, R = eq2_constants(form, A, B, k)
             a1, tail = coeffs[0], coeffs[1:]
             assert not pair_congruence_oracle(c, R, 1, a1, tail, p ** e, p=p)
-            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p))
+            v = solvable_eq2_at(form, A, B, k, p)
             assert (v.status, v.witness, v.budget_exhausted) == \
                 (EQ2_UNSOLVABLE, None, False), form
 
@@ -510,12 +566,12 @@ class TestEq2:
             p = rng.choice((3, 5, 7, 11, 13))
             cases.append((form, rng.randint(0, 40), rng.randint(0, form.m - 3),
                           rng.randint(0, 20), p, rng.choice((1, p))))
-        full = [solvable_eq2_at(f, A, B, k, eq2_context(f, p), scale=s)
+        full = [solvable_eq2_at(f, A, B, k, p, scale=s)
                 for f, A, B, k, p, s in cases]
         monkeypatch.setattr(quadratic, "EQ2_NODE_BUDGET", 3)
         cut_open = 0
         for (f, A, B, k, p, s), v in zip(cases, full):
-            w = solvable_eq2_at(f, A, B, k, eq2_context(f, p), scale=s)
+            w = solvable_eq2_at(f, A, B, k, p, scale=s)
             if v.witness is not None:
                 assert w.status != EQ2_UNSOLVABLE, (f.describe(), A, B, k, p, s)
             if w.witness is not None:
@@ -528,10 +584,9 @@ class TestEq2:
         # with every tail coefficient divisible by 97 the equation mod 97
         # is c^2 = R, so it is unsolvable exactly when that fails mod 97
         form = MgonalForm(7, (1, 97, 194))
-        ctx = eq2_context(form, 97)
         for A, B, k in ((1, 0, 0), (0, 1, 0), (5, 3, 2), (10, 2, 7)):
             c, R = eq2_constants(form, A, B, k)
-            v = solvable_eq2_at(form, A, B, k, ctx)
+            v = solvable_eq2_at(form, A, B, k, 97)
             expected = pair_congruence_oracle(c, R, 1, 1, (97, 194), 97)
             assert (v.status == EQ2_UNSOLVABLE) == (not expected), (A, B, k)
             if expected and v.witness is None:
@@ -595,7 +650,7 @@ class TestEq2:
         # p in {89, 97} are unsolvable exactly when the congruence mod p has no
         # solution
         form = MgonalForm(5, (1, 1, 1009))
-        v = solvable_eq2_at(form, 3, 1, 2, eq2_context(form, 1009))
+        v = solvable_eq2_at(form, 3, 1, 2, 1009)
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
         rng = random.Random(8997)
         statuses = set()
@@ -609,7 +664,7 @@ class TestEq2:
             A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), rng.randint(0, 30)
             scale = rng.choice((1, p))
             c, R = eq2_constants(form, A, B, k)
-            v = solvable_eq2_at(form, A, B, k, eq2_context(form, p), scale=scale)
+            v = solvable_eq2_at(form, A, B, k, p, scale=scale)
             statuses.add(v.status)
             expected = pair_congruence_oracle(c, R, scale, coeffs[0], coeffs[1:], p)
             case = (form.describe(), A, B, k, p, scale)
@@ -619,10 +674,17 @@ class TestEq2:
                 assert res % p ** v.precision == 0, case
         assert {EQ2_PRIMITIVE, EQ2_UNSOLVABLE} <= statuses
 
-    def test_precision_contract(self):
+    def test_depth_is_the_forms(self):
+        """The classifier works out its own depth: a verdict's precision is
+        the stability depth at p plus ``EQ2_MARGIN``, and a p that is not
+        prime is refused."""
         form = MgonalForm(5, (1, 1, 1, 1, 1))
-        with pytest.raises(ContractError):
-            solvable_eq2_at(form, 1, 0, 0, PAdicContext(2, 2))
+        for p in (4, 9):
+            with pytest.raises(InputError):
+                solvable_eq2_at(form, 1, 0, 0, p)
+        for form, p in ((form, 2), (form, 5), (MgonalForm(7, (9, 1, 1, 6, 6)), 3)):
+            v = solvable_eq2_at(form, 1, 0, 0, p)
+            assert v.precision == eq2_stability_depth(form, p) + EQ2_MARGIN
 
     def test_bad_prime_min_order_bound(self):
         """At the bad prime of <9,1,1,6,6>_7 every solvable instance admits a
@@ -630,12 +692,11 @@ class TestEq2:
         y primitive, is a primitive one at scale 3^sigma, so an instance
         primitively solvable at scale 9 is so at scale 1 or 3."""
         form = MgonalForm(7, (9, 1, 1, 6, 6))
-        ctx = eq2_context(form, 3)
         rng = random.Random(26)
         solvable_seen = 0
         for _ in range(40):
             A, B, k = rng.randint(0, 40), rng.randint(0, 4), rng.randint(0, 12)
-            primitive = [solvable_eq2_at(form, A, B, k, ctx, scale=3 ** s).status
+            primitive = [solvable_eq2_at(form, A, B, k, 3, scale=3 ** s).status
                          == EQ2_PRIMITIVE for s in range(3)]
             solvable_seen += primitive[0] or primitive[1]
             assert primitive[0] or primitive[1] or not primitive[2], (A, B, k)

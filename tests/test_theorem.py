@@ -10,7 +10,6 @@ from mgonal import (
     MgonalForm,
     admissible_k,
     bad_primes,
-    eq2_context,
     k_constant,
     k_stability_exponent,
     locally_represents,
@@ -20,12 +19,14 @@ from mgonal import (
 )
 import mgonal.theorem
 from mgonal.quadratic import (
+    EQ2_MARGIN,
     EQ2_PRIMITIVE,
     EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
     Eq2Verdict,
     eq2_constants,
     eq2_residual,
+    eq2_stability_depth,
     solvable_eq2_at,
 )
 from mgonal.theorem import DYADIC, ODD_BAD, ODD_GOOD
@@ -147,15 +148,16 @@ class TestAdmissibleK:
         assert any(pair.k <= 7 and pair.P == 1 for pair in result.pairs)
         assert all(pair.k <= result.k_bound for pair in result.pairs)
 
-    def test_scan_report_counts_visited_k(self):
+    def test_scan_report_counts_visited_k(self, monkeypatch):
         form = MgonalForm(12, (10, 9, 9, 1, 1))
         result = admissible_k(form, 52, pair_cap=3)
         assert [(pair.k, pair.P) for pair in result.pairs] == [(0, 1), (0, 2), (1, 1)]
         assert result.scanned_k == 2
         assert result.truncated is False
         assert not any("truncated" in d for d in result.diagnostics)
-        # a k_limit reached before pair_cap is filled is still a truncation
-        short = admissible_k(form, 52, k_limit=1)
+        # a scan limit reached before pair_cap is filled is still a truncation
+        monkeypatch.setattr(mgonal.theorem, "K_SCAN_LIMIT", 1)
+        short = admissible_k(form, 52)
         assert len(short.pairs) < 16
         assert short.scanned_k == 1
         assert short.truncated is True
@@ -167,9 +169,9 @@ class TestAdmissibleK:
         # make the p = 2 verdict at k = 1 undecided, as a budget hit would
         real = mgonal.theorem.solvable_eq2_at
 
-        def undecided_at_k1(form, A, B, k, ctx, *, scale=1):
-            v = real(form, A, B, k, ctx, scale=scale)
-            if ctx.p == 2 and k == 1 and scale == 1:
+        def undecided_at_k1(form, A, B, k, p, *, scale=1):
+            v = real(form, A, B, k, p, scale=scale)
+            if p == 2 and k == 1 and scale == 1:
                 return Eq2Verdict(status=EQ2_UNKNOWN, witness=None,
                                   precision=v.precision, budget_exhausted=True)
             return v
@@ -187,15 +189,17 @@ class TestAdmissibleK:
         assert mgonal.theorem._scale_options(form, (2, 3, 5)) == [1, 2]
         real = mgonal.theorem.solvable_eq2_at
 
-        def unsolvable_at_2(form, A, B, k, ctx, *, scale=1):
-            if ctx.p == 2:
+        def unsolvable_at_2(form, A, B, k, p, *, scale=1):
+            if p == 2:
                 return Eq2Verdict(status=EQ2_UNSOLVABLE, witness=None,
-                                  precision=ctx.precision, budget_exhausted=False)
-            return real(form, A, B, k, ctx, scale=scale)
+                                  precision=eq2_stability_depth(form, p) + EQ2_MARGIN,
+                                  budget_exhausted=False)
+            return real(form, A, B, k, p, scale=scale)
 
         monkeypatch.setattr(mgonal.theorem, "solvable_eq2_at", unsolvable_at_2)
+        monkeypatch.setattr(mgonal.theorem, "K_SCAN_LIMIT", 40)
         with pytest.warns(AnomalyWarning):
-            result = admissible_k(form, 52, k_limit=40)
+            result = admissible_k(form, 52)
         assert not result.pairs and result.scanned_k == 40
         e = k_stability_exponent(form, 2).e
         assert 2 ** e > 40
@@ -249,7 +253,7 @@ class TestAdmissibleK:
                 for ev in pair.evidence:
                     v = solvable_eq2_at(
                         form, dec.A, dec.B, ev.k_residue,
-                        eq2_context(form, ev.p), scale=ev.p ** ev.s,
+                        ev.p, scale=ev.p ** ev.s,
                     )
                     assert v.status == EQ2_PRIMITIVE
             checked += 1
