@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count, islice, product, takewhile
-from operator import add, mul
+from functools import lru_cache, reduce
+from itertools import count, islice, product
+from operator import add, mul, or_
 from typing import TYPE_CHECKING
 
 from .arith import (
@@ -92,11 +92,16 @@ class ReducedQuadratic:
     det: int
 
 
-@lru_cache(maxsize=1024)
 def reduced_quadratic(form: MgonalForm) -> ReducedQuadratic:
-    """The reduced form of ``form``, cached: every eq2 stability depth reads
-    its determinant."""
-    a = form.coeffs
+    """The reduced form of ``form``; it depends on the coefficients only."""
+    return _reduced_quadratic(form.coeffs)
+
+
+@lru_cache(maxsize=1024)
+def _reduced_quadratic(a: tuple[int, ...]) -> ReducedQuadratic:
+    """``reduced_quadratic`` of the coefficients a, cached: every eq2
+    stability depth reads its determinant, and every congruence splitting
+    its Gram matrix."""
     n = len(a)
     if n < 2:
         raise InputError("reduced quadratic form needs rank >= 2")
@@ -577,12 +582,12 @@ EQ2_UNKNOWN = "unsolvable-within-strata"
 #: Precision that ``solvable_eq2_at`` works at on top of the stability depth.
 EQ2_MARGIN = 4
 
-#: Cap on the nodes of one level of the eq2 walk, on the prefixes that
-#: ``_eq2_roots`` scans, and on the square of the deepest congruence modulus.
+#: Cap on the nodes of one level of the eq2 walk and on the prefixes that
+#: ``_eq2_roots`` scans.
 EQ2_NODE_BUDGET = 250_000
 
-#: Bound on the cube of the pair-congruence modulus p^l2 (see _congruence_depth).
-EQ2_CONGRUENCE_CEILING = 700_000
+#: Bound on the square of the disproof modulus p^D (see _congruence_depth).
+EQ2_CONGRUENCE_CEILING = 250_000
 
 
 @dataclass(frozen=True)
@@ -746,7 +751,7 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
     disproofs.  Returns (outcome, budget_exhausted_flag): the first
     certified node as (witness_y, lift_coordinate_or_None);
     ``EQ2_UNSOLVABLE`` when the walk proves that no primitive solution
-    exists or a disproof held; else ``EQ2_UNKNOWN``.
+    exists or the disproof held; else ``EQ2_UNKNOWN``.
 
     Level 1 holds the nonzero y mod p with value = 0 mod p: the roots from
     ``_eq2_roots`` at an odd p, the 2^n residues filtered at p = 2.  Level
@@ -761,14 +766,12 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
     that runs out of survivors, at any level up to ``depth``, proves that
     there is none, and ends the walk with no further check.
 
-    The disproofs are the exhaustive pair congruence mod p^l2 (l2 from
-    ``_congruence_depth``), tried after level 1, and mod p^d for d = l2+1,
-    ... while p^(2d) stays within ``EQ2_NODE_BUDGET``, tried once, before
-    the walk expands a level past the budget or else before it returns
-    ``EQ2_UNKNOWN``.  Once a level l has had survivors, each solves the
-    congruence mod p^(l+1), so no modulus p^d with d <= l+1 is built: it
-    cannot refute.  No verdict depends on when a disproof runs, so this
-    schedule only sets the cost.
+    The disproof is ``_congruence_solvable`` mod p^D, D from
+    ``_congruence_depth``, tried once, after level 1, unless it cannot
+    refute: a survivor of level 1 solves the congruence mod p^2, so it runs
+    there only when D > 2, and after a cut level with no survivors when
+    D > 0.  A refutation mod p^d with d <= D is one mod p^D too, so no
+    other modulus is tried.
 
     Children are generated lazily in lexicographic order, so the first
     certified node is returned without building the rest of its level.
@@ -778,9 +781,6 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
     n = len(tail)
     lead = [2 * scale * t for t in tail]
     scale_a1 = scale * a1
-    l2 = _congruence_depth(p, depth)
-    deeper = list(takewhile(lambda d: p ** (2 * d) <= EQ2_NODE_BUDGET, count(l2 + 1)))
-    solved = 0  # the congruence is known solvable mod p^d for every d <= solved
     budget_hit = False
     nodes = product(range(2), repeat=n) if p == 2 else \
         _eq2_roots(c, R, scale, a1, tail, p)
@@ -802,15 +802,10 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
                 survivors.append(y)
         if not (survivors or budget_hit):
             return EQ2_UNSOLVABLE, budget_hit
-        if survivors:
-            solved = level + 1
-        size = len(survivors) * p ** n if level < depth else 0
-        depths = [l2] if level == 1 else []
-        if size > EQ2_NODE_BUDGET or not size:
-            depths, deeper = depths + deeper, []
-        if any(not _pair_congruence_solvable(c, R, scale, a1, tail, p, d)
-               for d in depths if d > solved):
+        if level == 1 and (D := _congruence_depth(p)) > (2 if survivors else 0) and \
+                not _congruence_solvable(c, R, scale, a1, tail, p, D):
             return EQ2_UNSOLVABLE, budget_hit
+        size = len(survivors) * p ** n if level < depth else 0
         if not size:
             return EQ2_UNKNOWN, budget_hit
         budget_hit = budget_hit or size > EQ2_NODE_BUDGET
@@ -820,75 +815,83 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
         plevel = next_mod
 
 
+def _congruence_depth(p: int) -> int:
+    """The largest d with p^(2d) <= EQ2_CONGRUENCE_CEILING: 8, 5, 3 and 3 at
+    p = 2, 3, 5 and 7, 2 up to p = 19, 1 up to 499 and 0 above."""
+    return next(d for d in count() if p ** (2 * d + 2) > EQ2_CONGRUENCE_CEILING)
+
+
 @lru_cache(maxsize=1024)
-def _pair_states(tail: tuple[int, ...], mod: int) -> tuple[int, ...]:
-    """Entry s is the bitmask of the q mod ``mod`` with (s, q) =
-    (sum a_i x_i, sum a_i x_i^2) mod ``mod`` for some tail vector x.
-
-    It depends on the form only through the tail and on no multiplier of q,
-    so one build, cached per (tail, M), serves every (c, R, k) and every
-    scale at a prime.  With M = ``mod``, all states live in one integer of
-    M^2 bits, bit s*M + q set when (s, q) is reachable: row s is the mask of
-    entry s.  A coordinate's move (ds, dq) rotates every row by dq (two
-    shifts under repeated row masks) and then the rows by ds (two shifts of
-    ds*M bits).  Moves are grouped by dq, so a coefficient costs one row
-    rotation per distinct dq plus one row shift per move: at most 2M
-    operations on M^2-bit integers.
-    """
-    row = (1 << mod) - 1
-    full = (1 << mod * mod) - 1
-    rows = full // row  # bit 0 of every row
-    states = 1
-    for t in tail:
-        by_dq: dict[int, set[int]] = {}
-        for y in range(mod):
-            by_dq.setdefault(t * y * y % mod, set()).add(t * y % mod)
-        nxt = 0
-        for dq, shifts in by_dq.items():
-            low = rows * ((1 << (mod - dq)) - 1)  # bits q < M - dq of each row
-            turned = ((states & low) << dq) | ((states & ~low) >> (mod - dq))
-            for ds in shifts:
-                nxt |= ((turned << ds * mod) & full) | (turned >> (mod - ds) * mod)
-        states = nxt
-    return tuple((states >> s * mod) & row for s in range(mod))
+def _congruence_split(a1: int, tail: tuple[int, ...], p: int, depth: int) -> tuple:
+    """(k, L, l) per block of the Jordan splitting T^T M T = sum p^k L, mod
+    p^E with E >= depth, of M = t t^T + a_1 diag(t), the Gram matrix of
+    ``reduced_quadratic``; l is the block's part of T^T t.  With y = T w,
+    which runs over Z_p^n as w does, y^T M y = sum p^k w^T L w mod p^E and
+    t^T y = l^T w."""
+    rq = _reduced_quadratic((a1, *tail))
+    dec = jordan_decompose(rq.gram, PAdicContext(p, max(depth, 2 * _ord(rq.det, p) + 6)))
+    ell = iter([sum(map(mul, column, tail)) for column in zip(*dec.transform)])
+    return tuple((k, L, tuple(islice(ell, len(L)))) for k, L in dec.blocks)
 
 
-def _congruence_depth(p: int, precision: int) -> int:
-    """Exponent l2 of the pair-congruence modulus: the largest e with
-    p^(3e) <= EQ2_CONGRUENCE_CEILING, capped by the precision; 0 when even
-    p^3 exceeds the ceiling.  The ceiling bounds the cube because a
-    ``_pair_states`` build mod M = p^l2, cached per (tail, M), takes at most
-    2M operations on M^2-bit integers per tail coefficient."""
-    e = 0
-    while e < precision and p ** (3 * (e + 1)) <= EQ2_CONGRUENCE_CEILING:
-        e += 1
-    return e
+@lru_cache(maxsize=4096)
+def _completed_values(blocks: tuple, p: int, depth: int, s: int) -> int:
+    """Bit v is set when v is, mod p^depth, a sum of values p^(2s+k) w^T L w
+    over the (k, L) in ``blocks``.  Over Z_p, w^T L w takes the values
+    lambda x^2 on a 1x1 block (lambda), every even value on the hyperbolic
+    plane, and twice the norms of Z_2[zeta_3] (0 and the even valuations) on
+    the hexagonal plane."""
+    mod = p ** depth
+    full = (1 << mod) - 1
+    values = 1
+    for k, L in blocks:
+        span = p ** max(depth - 2 * s - k, 0)  # p^(2s+k) r mod p^depth reads r mod span
+        if len(L) == 1:
+            base = (L[0][0] * x * x for x in range(span))
+        elif L == HYPERBOLIC_PLANE:
+            base = range(0, span, 2)
+        else:
+            base = (2 * n for n in range(span) if n == 0 or _ord(n, 2) % 2 == 0)
+        values = reduce(or_, ((values << v | values >> mod - v) & full
+                              for v in {r % span * (mod // span) for r in base}))
+    return values
 
 
-def _pair_congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
+def _congruence_solvable(c, R, scale, a1, tail, p, depth) -> bool:
     """Exact solvability of (c - scale*s)^2 + scale^2 a_1 q = R mod p^depth,
-    with s and q the linear and quadratic tail sums of some x.
+    with s and q the linear and quadratic sums of some tail vector x: every
+    p-adic solution reduces to one, so False proves the equation unsolvable.
 
-    Every p-adic solution reduces to a solution of this congruence (the zero
-    solution to s = q = 0), so False proves the equation unsolvable.
-
-    Row s of ``_pair_states`` needs a reachable q with g*q = t, where
-    g = scale^2 a_1 and t = R - (c - scale*s)^2 mod M.  With g = p^j u
-    (u a unit), that asks p^j | t and q = u^-1 t/p^j mod M/p^j: the p^j
-    bits of the row spaced M/p^j apart from there.  g = 0 mod M takes
-    j = depth, so any reachable q serves when t = 0.
+    On ``_congruence_split`` the value is c^2 - R plus, per block,
+    u^2 p^k w^T L w - 2cu l^T w, with u = scale = p^s * unit.  Where p^(s+k)
+    divides c l the square completes: the block takes the values of
+    u^2 p^k w^T L w, less c^2 l^T L^-1 l / p^k.  Else Hensel's lemma gives
+    every multiple of p^b, b = ord(2cu l), or at p = 2 of p^(b+1) for a 1x1
+    block with b = 2s + k (w(aw + b') with a, b' odd is even).  So the
+    completing blocks' ``_completed_values`` must hold R - c^2 + their
+    shifts modulo p^b, b the least such: a bit of the lanes p^b apart.
     """
     mod = p ** depth
-    g = scale * scale * a1 % mod
-    pj = p ** _ord(g, p) if g else mod
-    sub = mod // pj
-    inv = pow(g // pj, -1, sub)
-    lanes = ((1 << mod) - 1) // ((1 << sub) - 1)  # bits 0, sub, 2*sub, ...
-    for s, bits in enumerate(_pair_states(tuple(tail), mod)):
-        t = (R - (c - scale * s) ** 2) % mod
-        if t % pj == 0 and bits >> (t // pj * inv % sub) & lanes:
-            return True
-    return False
+    s = _ord(scale, p)
+    cut, shift, completing = depth, 0, []
+    for k, L, ell in _congruence_split(a1, tail, p, depth):
+        x = [c * li for li in ell]
+        if all(xi % p ** (s + k) == 0 for xi in x):
+            completing.append((k, L))
+            y = [xi // p ** k for xi in x]  # x^T L^-1 x / p^k = y^T L^-1 x
+            if len(L) == 1:
+                shift += y[0] * x[0] * pow(L[0][0], -1, mod)
+            else:  # L^-1 is the adjugate over the determinant
+                (e, f), (_, g) = L
+                shift += (y[0] * (g * x[0] - f * x[1]) + y[1] * (e * x[1] - f * x[0])) \
+                    * pow(e * g - f * f, -1, mod)
+        else:
+            b = (p == 2) + s + min(_ord(xi, p) for xi in x if xi)
+            cut = min(cut, b + (p == 2 and len(L) == 1 and b == 2 * s + k))
+    lane = p ** cut
+    lanes = ((1 << mod) - 1) // ((1 << lane) - 1)  # bits 0, lane, 2*lane, ...
+    values = _completed_values(tuple(completing), p, depth, s)
+    return bool(values >> (R - c * c + shift) % lane & lanes)
 
 
 def solvable_eq2_at(form: MgonalForm, A: int, B: int, k: int, p: int,

@@ -227,30 +227,25 @@ def admissible_k(form: MgonalForm, N: int, *, pair_cap: int = 16) -> AdmissibleS
     ``solvable_eq2_at`` asks whether the equation at scale P has a primitive
     solution at p, at the depth that the form fixes there; a solution
     p^sigma y at scale P is a primitive one at scale P p^sigma, which the
-    loop over P tries when it is among the scales.  Its walk and the deeper congruence disproofs share one node
-    budget, and no prime is too large to try.  A residue whose verdict is
-    still undecided (``EQ2_UNKNOWN``) counts as not admissible.  Whenever a
-    prime has such residues, or verdicts whose walk hit its node budget, the
-    diagnostics say how many of each.
+    loop over P tries when it is among the scales.  No prime is too large to
+    try, and every bad prime is relevant: it divides a_1 and a tail
+    coefficient.  A residue whose verdict is still undecided
+    (``EQ2_UNKNOWN``) counts as not admissible.  Whenever a prime has such
+    residues, or verdicts whose walk hit its node budget, the diagnostics
+    say how many of each.
     """
     if form.rank < 5:
         raise InputError("the admissible search needs rank >= 5")
     if N < 0:
         raise InputError(f"target must be nonnegative, got {N}")
+    if pair_cap < 1:
+        raise InputError(f"pair_cap must be a positive integer, got {pair_cap}")
     if not _locally_represented(form, N):
         raise InputError(f"{N} is not locally represented by {form.describe()}")
     dec = decompose_target(form.m, N)
     kc = k_constant(form)
     primes = tuple(p for p, _ in kc.factors)
     diagnostics = []
-    bad = bad_primes(form)
-    stray = [p for p in bad if p not in primes]
-    if stray:
-        diagnostics.append(
-            f"bad primes {stray} fall outside the relevant prime set {primes}"
-        )
-        warnings.warn(diagnostics[-1], AnomalyWarning)
-        primes = tuple(sorted(set(primes) | set(stray)))
     exponents = {p: eq2_stability_depth(form, p) for p in primes}
     period = 1
     for p in primes:

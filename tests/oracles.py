@@ -256,18 +256,25 @@ def _pair_stages(tail, mod, p):
 
 def pair_congruence_oracle(c, R, scale, a1, tail, mod, *, p=None) -> bool:
     """Whether (c - scale*s)^2 + scale^2 a_1 q = R (mod ``mod``) for some tail
-    vector x, with s and q its linear and quadratic sums, by scanning every
-    reachable (s, q) of the packed ``_pair_stages``.  With ``p`` given, only
-    vectors with a coordinate prime to p count."""
-    some = _pair_stages(tuple(tail), mod, p)[1]
+    vector x, with s and q its linear and quadratic sums: whether R is among
+    ``pair_congruence_values``.  With ``p`` given, only vectors with a
+    coordinate prime to p count."""
+    return R % mod in pair_congruence_values(c, scale, a1, tuple(tail), mod, p)
+
+
+@lru_cache(maxsize=None)
+def pair_congruence_values(c, scale, a1, tail, mod, p=None) -> frozenset:
+    """The values of (c - scale*s)^2 + scale^2 a_1 q mod ``mod`` over every
+    reachable (s, q) of the packed ``_pair_stages``."""
+    some = _pair_stages(tail, mod, p)[1]
     row = (1 << mod) - 1
+    values = set()
     for s in range(mod):
         bits = some >> s * mod & row
-        t = (c - scale * s) ** 2 - R
-        if bits and any(bits >> q & 1 and (t + scale * scale * a1 * q) % mod == 0
-                        for q in range(mod)):
-            return True
-    return False
+        t = (c - scale * s) ** 2
+        values.update((t + scale * scale * a1 * q) % mod
+                      for q in range(mod) if bits >> q & 1)
+    return frozenset(values)
 
 
 def pair_congruence_reference(c, R, scale, a1, tail, mod, *, p=None) -> bool:

@@ -1,5 +1,6 @@
-"""Every public name has a caller: no library code that only tests call; and
-the eq2 verdict and the traced names keep what the benchmark reads."""
+"""Every public name has a caller, and every private one a library caller: no
+library code that only tests call; and the eq2 verdict and the traced names
+keep what the benchmark reads."""
 
 import ast
 import dataclasses
@@ -13,10 +14,14 @@ from mgonal.quadratic import Eq2Verdict
 ROOT = Path(__file__).resolve().parents[1]
 
 #: k_stability_exponent and StabilityExponent are pinned by their regime
-#: labels in tests/golden/stability_depths.json.  eq2_residual is how
-#: acceptance criterion 2 and the witness checks read the library's reduction
-#: of the equation (benchmarks/checks.py defines its own).
-ALLOWED = {"k_stability_exponent", "StabilityExponent", "eq2_residual"}
+#: labels in tests/golden/stability_depths.json, and bad_primes by its lists
+#: there and by acceptance criterion 11.  eq2_residual is how acceptance
+#: criterion 2 and the witness checks read the library's reduction of the
+#: equation (benchmarks/checks.py defines its own).
+ALLOWED = {"k_stability_exponent", "StabilityExponent", "eq2_residual", "bad_primes"}
+
+#: census._value_table is an alias whose cache_info benchmarks/tracing.py reads.
+PRIVATE_ALLOWED = {"mgonal.census._value_table"}
 
 
 def _sources():
@@ -44,11 +49,10 @@ def _homonyms(tree, module) -> set[str]:
     return own
 
 
-def _references(tree, module, counts):
+def _references(tree, counts, skip=frozenset()):
     """Count each Name load, Attribute and identifier string in ``tree``,
     skipping the body of a def or class whose name it would count and the
-    homonyms of library names."""
-    skip = _homonyms(tree, module)
+    names in ``skip``."""
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -71,12 +75,41 @@ def _references(tree, module, counts):
 def test_every_public_name_has_a_library_or_benchmark_caller():
     counts = {}
     for module, tree in _sources():
-        _references(tree, module, counts)
+        _references(tree, counts, _homonyms(tree, module))
     public = [name for name in mgonal.__all__
               if not inspect.ismodule(getattr(mgonal, name))]
     unused = sorted(name for name in public
                     if name not in ALLOWED and not counts.get(name))
     assert unused == []
+
+
+def _private_definitions(tree) -> set[str]:
+    """The private functions, classes and constants at the top level of ``tree``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_has_a_library_caller():
+    """A private module-level name of the library is read by library code
+    (benchmarks and tests do not count), outside its own body.  Private
+    names are unique across the library modules, so a name counts wherever
+    it is read."""
+    counts, defined = {}, {}
+    for module, tree in _sources():
+        if module is not None:
+            _references(tree, counts)
+            for name in _private_definitions(tree):
+                defined.setdefault(name, []).append(module)
+    assert all(len(modules) == 1 for modules in defined.values()), defined
+    unused = sorted(f"{modules[0]}.{name}" for name, modules in defined.items()
+                    if not counts.get(name))
+    assert unused == sorted(PRIVATE_ALLOWED)
 
 
 def test_eq2_verdicts_keep_what_the_benchmark_reads():

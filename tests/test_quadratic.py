@@ -24,10 +24,12 @@ from mgonal.quadratic import (
     EQ2_PRIMITIVE,
     EQ2_UNKNOWN,
     EQ2_UNSOLVABLE,
+    HEXAGONAL_PLANE,
+    HYPERBOLIC_PLANE,
     _congruence_depth,
+    _congruence_solvable,
+    _congruence_split,
     _diagonal_solvable,
-    _pair_congruence_solvable,
-    _pair_states,
     _unit_reachable,
     eq2_constants,
     eq2_stability_depth,
@@ -48,6 +50,7 @@ from oracles import (
     isotropy_oracle,
     pair_congruence_oracle,
     pair_congruence_reference,
+    pair_congruence_values,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -329,11 +332,12 @@ class TestEq2:
 
     def test_pair_congruence_matches_the_oracle(self):
         """Seeded cases over ranks 3-6, p in {2, 3, 5, 7, 11}, scale in
-        {1, p, p^2} and a_1 sometimes multiplied by p: the cached disproof
-        equals the oracle mod p^l2, no solution there makes the
-        verdict unsolvable, and witnesses verify.  (The converse fails: an
+        {1, p, p^2} and a_1 sometimes multiplied by p: the disproof equals
+        the oracle mod p^d, d drawn from 1 to D - 1 (the oracle is slow mod
+        p^D, which test_pair_states_match_the_oracle covers), no solution
+        there makes the verdict unsolvable, and witnesses verify.  (The converse fails: an
         empty stratum walk or a deeper congruence also disproves.)  The multiplier
-        g = scale^2 a_1 mod p^l2 of q is met as a unit, as p^j u with j >= 1
+        g = scale^2 a_1 mod p^d of q is met as a unit, as p^j u with j >= 1
         and as 0."""
         rng = random.Random(2718)
         pool = (1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 18, 27)
@@ -355,14 +359,13 @@ class TestEq2:
                 a1, tail = form.coeffs[0], form.coeffs[1:]
                 A, B, k = rng.randint(0, 60), rng.randint(0, form.m - 3), \
                     rng.randint(0, 30)
-                l2 = _congruence_depth(p, eq2_stability_depth(form, p) + EQ2_MARGIN)
-                g = scale * scale * a1 % p ** l2
+                d = rng.randint(1, _congruence_depth(p) - 1)
+                g = scale * scale * a1 % p ** d
                 multipliers.add("zero" if g == 0 else "unit" if g % p else "p^j u")
                 c, R = eq2_constants(form, A, B, k)
-                expected = pair_congruence_oracle(c, R, scale, a1, tail, p ** l2)
-                case = (form.describe(), A, B, k, p, scale)
-                assert _pair_congruence_solvable(
-                    c, R, scale, a1, tail, p, l2) == expected, case
+                expected = pair_congruence_oracle(c, R, scale, a1, tail, p ** d)
+                case = (form.describe(), A, B, k, p, scale, d)
+                assert _congruence_solvable(c, R, scale, a1, tail, p, d) == expected, case
                 v = solvable_eq2_at(form, A, B, k, p, scale=scale)
                 statuses.add(v.status)
                 if not expected:
@@ -374,19 +377,36 @@ class TestEq2:
         assert multipliers == {"zero", "unit", "p^j u"}
 
     def test_pair_states_match_the_oracle(self):
-        """Bit q of entry s of the packed state bitset is set exactly when
-        the set-of-tuples enumeration reaches (s, q) mod M, for tails of
-        length 1-6 (coefficients often divisible by p)."""
+        """The Jordan-splitting kernel answers the pair congruence mod p^D as
+        the oracle does, at every R mod p^D, for p in {2, 3, 5, 7, 11, 13},
+        on tails of length 1-4 whose entries, like a_1 and c, are often
+        divisible by p, at scales p^s * unit with s in {0, 1, 2}.  The cases
+        meet both dyadic planes, and blocks where the square completes and
+        where it does not, at each of the three s."""
         rng = random.Random(3141)
-        for p, mod in ((2, 64), (3, 81), (5, 25), (7, 49), (11, 11), (13, 13)):
-            for length in range(1, 7):
-                for _ in range(2):
-                    tail = tuple(rng.choice((1, 2, 3, 5, 7)) * p ** rng.choice((0, 0, 1, 2))
-                                 for _ in range(length))
-                    expected = [0] * mod
-                    for s, q, _ in _tail_sum_states(tail, mod, None):
-                        expected[s] |= 1 << q
-                    assert _pair_states(tail, mod) == tuple(expected), (tail, mod)
+        answers, planes, kinds = set(), set(), set()
+        for p, tails in ((2, 8), (3, 5), (5, 5), (7, 2), (11, 3), (13, 3)):
+            depth = _congruence_depth(p)
+            mod = p ** depth
+            for _ in range(tails):
+                tail = tuple(rng.choice((1, 2, 3, 5, 7)) * p ** rng.choice((0, 0, 1, 2))
+                             for _ in range(rng.randint(1, 4)))
+                for _ in range(4):
+                    a1 = rng.choice((1, 3, 5, 7)) * p ** rng.choice((0, 0, 1, 2))
+                    c = rng.randrange(mod) * p ** rng.choice((0, 0, 1, 2))
+                    s = rng.choice((0, 1, 2))
+                    scale = p ** s * rng.choice((1, 1, 3 if p == 2 else 2))
+                    values = pair_congruence_values(c, scale, a1, tail, mod)
+                    got = {R for R in range(mod)
+                           if _congruence_solvable(c, R, scale, a1, tail, p, depth)}
+                    assert got == values, (c, scale, a1, tail, p)
+                    answers.add(len(values) < mod)
+                    for k, L, ell in _congruence_split(a1, tail, p, depth):
+                        planes.add(L)
+                        kinds.add((all(c * x % p ** (s + k) == 0 for x in ell), s))
+        assert answers == {True, False}
+        assert {HYPERBOLIC_PLANE, HEXAGONAL_PLANE} <= planes
+        assert kinds == {(completes, s) for completes in (True, False) for s in (0, 1, 2)}
 
     def test_packed_pair_oracle_matches_the_set_enumeration(self):
         """The packed pair oracle reaches exactly the (s, q) states of the
@@ -435,26 +455,27 @@ class TestEq2:
                            case["budget_exhausted"]), case
 
     def test_disproof_schedule_is_pinned(self, monkeypatch):
-        """Each call runs the same pair-congruence disproofs in the same
-        order as when the schedule lived in a callback outside the walk: the
-        record, made then, holds each call's status and the (p, d, result)
-        of every ``_pair_congruence_solvable`` call.  It covers 300 seeded
-        calls (ranks 3-6, p <= 13, scale 1, p or p^2), <8,1,9,11,4>_11 at
-        (0, 2, 10), scale 4, p = 2, whose deeper tier runs mod 2^6, 2^7 and
-        2^8, and the first 50 calls of test_cut_walks_prove_nothing's sample
-        at its node budget of 3, whose levels are cut."""
+        """The record holds each call's status and the (p, d, result) of the
+        pair-congruence disproofs that a two-tier schedule once ran for it,
+        mod p^d for several d.  It covers 300 seeded calls (ranks 3-6,
+        p <= 13, scale 1, p or p^2), <8,1,9,11,4>_11 at (0, 2, 10), scale 4,
+        p = 2, refuted only mod 2^8, and the first 50 calls of
+        test_cut_walks_prove_nothing's sample at its node budget of 3, whose
+        levels are cut.  Each status holds; ``_congruence_solvable`` gives
+        each of the 34 recorded results at its d; and a walk now tries at
+        most one modulus, p^D, and tries it wherever a disproof once ran."""
         cases = json.loads((GOLDEN / "eq2_disproof_schedule.json").read_text())
         assert len(cases) == 351
-        real = quadratic._pair_congruence_solvable
+        real = quadratic._congruence_solvable
         log = []
 
         def logged(c, R, scale, a1, tail, p, depth):
-            result = real(c, R, scale, a1, tail, p, depth)
-            log.append([p, depth, result])
-            return result
+            log.append(depth)
+            return real(c, R, scale, a1, tail, p, depth)
 
-        monkeypatch.setattr(quadratic, "_pair_congruence_solvable", logged)
+        monkeypatch.setattr(quadratic, "_congruence_solvable", logged)
         budget = quadratic.EQ2_NODE_BUDGET
+        recorded = 0
         for case in cases:
             monkeypatch.setattr(quadratic, "EQ2_NODE_BUDGET",
                                 case.get("node_budget", budget))
@@ -462,7 +483,15 @@ class TestEq2:
             form = MgonalForm(case["m"], tuple(case["coeffs"]))
             v = solvable_eq2_at(form, case["A"], case["B"], case["k"], case["p"],
                                 scale=case["scale"])
-            assert (v.status, log) == (case["status"], case["calls"]), case
+            assert v.status == case["status"], case
+            assert log in ([], [_congruence_depth(case["p"])]), case
+            assert log or not case["calls"], case
+            c, R = eq2_constants(form, case["A"], case["B"], case["k"])
+            for p, d, result in case["calls"]:
+                assert real(c, R, case["scale"], form.coeffs[0], form.coeffs[1:],
+                            p, d) == result, (case, d)
+                recorded += 1
+        assert recorded == 34
 
     def test_tail_divisible_by_p_needs_no_root_scan(self):
         # every tail coefficient is divisible by 13, so the value is c^2 - R
@@ -477,41 +506,41 @@ class TestEq2:
         assert eq2_residual(form, 0, 1, 0, v.witness) % 13 ** v.precision == 0
 
     def test_large_prime_certifies_without_a_state_table(self):
-        # 10007^3 is past the congruence ceiling and 10007^2 past the node
-        # budget, so no state bitset is built; the root scan, cut at the
-        # budget, certifies its first nonzero root
+        # 10007^2 is past the congruence ceiling, so no splitting is read;
+        # the root scan, cut at the budget, certifies its first nonzero root
         form = MgonalForm(10009, (1, 1, 1, 1, 10007))
-        assert _congruence_depth(10007, 1) == 0
-        before = _pair_states.cache_info()
+        assert _congruence_depth(10007) == 0
+        before = _congruence_split.cache_info()
         v = solvable_eq2_at(form, 0, 1, 0, 10007)
         assert v.status == EQ2_PRIMITIVE and not v.budget_exhausted
         assert eq2_residual(form, 0, 1, 0, v.witness) % 10007 ** v.precision == 0
-        after = _pair_states.cache_info()
+        after = _congruence_split.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_no_pair_table_where_it_cannot_refute(self):
-        """No pair table is read after a level-1 walk with no survivors and
-        no cut, which is already a proof, nor at a modulus p^d that a
-        survivor of level d-1 solves.  At p >= 5, l2 <= 2, so the deep
-        witnesses there, which survive level 1, read none."""
+        """No splitting is read after a level-1 walk with no survivors and
+        no cut, which is already a proof, nor by a call that certifies at
+        level 1.  At p = 5 and 7, D = 3 is past the p^2 that a survivor of
+        level 1 solves, so the deep witnesses there read one."""
         cases = json.loads((GOLDEN / "eq2_deep_witnesses.json").read_text())
-        calls = [(MgonalForm(5, (1, 13, 13, 13, 13, 13, 13)), (1, 0, 0), 13, 1)]
+        calls = [(MgonalForm(5, (1, 13, 13, 13, 13, 13, 13)), (1, 0, 0), 13, 1, False),
+                 (MgonalForm(5, (1, 13, 13, 13, 13, 13, 13)), (0, 1, 0), 13, 1, False)]
         calls += [(MgonalForm(case["m"], tuple(case["coeffs"])),
-                   (case["A"], case["B"], case["k"]), case["p"], case["scale"])
+                   (case["A"], case["B"], case["k"]), case["p"], case["scale"], True)
                   for case in cases if case["p"] >= 5]
-        assert len(calls) == 6
-        for form, (A, B, k), p, scale in calls:
-            before = _pair_states.cache_info()
+        assert len(calls) == 7
+        for form, (A, B, k), p, scale, split in calls:
+            before = _congruence_split.cache_info()
             solvable_eq2_at(form, A, B, k, p, scale=scale)
-            after = _pair_states.cache_info()
-            assert (after.hits, after.misses) == (before.hits, before.misses), form
+            after = _congruence_split.cache_info()
+            assert (after.hits + after.misses > before.hits + before.misses) == split, form
 
     def test_newly_decided_verdicts(self):
         """Calls that the node budget or the depth once left undecided,
         each unsolvable with an independent certificate: no solution of the
         pair congruence, found by the oracle (primitive vectors only where
         c^2 - R is a unit, so that only stratum 0 can hold a solution), or
-        by the packed kernel that test_pair_states_match_the_oracle checks."""
+        by the kernel that test_pair_states_match_the_oracle checks."""
         cases = (  # m, coeffs, (A, B, k), p, scale, oracle modulus, primitive
             (13, (11, 11, 1), (32, 7, 15), 11, 1, 121, False),
             (9, (13, 1, 18), (11, 6, 16), 13, 1, 169, True),
@@ -528,7 +557,7 @@ class TestEq2:
             assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted, form
         form = MgonalForm(11, (8, 1, 9, 11, 4))
         c, R = eq2_constants(form, 0, 2, 10)
-        assert not _pair_congruence_solvable(c, R, 4, 8, (1, 9, 11, 4), 2, 8)
+        assert not _congruence_solvable(c, R, 4, 8, (1, 9, 11, 4), 2, 8)
         v = solvable_eq2_at(form, 0, 2, 10, 2, scale=4)
         assert v.status == EQ2_UNSOLVABLE and not v.budget_exhausted
 

@@ -75,14 +75,19 @@ class TestBadPrimes:
             assert bad_primes(MgonalForm(m, tuple(coeffs))) == ()
 
     def test_contained_in_unit_deficient(self):
+        """Bad primes are unit-deficient, so admissible_k, which tries the
+        primes of K, tries them all."""
         rng = random.Random(63)
+        forms = [MgonalForm(7, (9, 1, 1, 6, 6))]
         for _ in range(150):
             coeffs = [rng.randint(1, 30) for _ in range(5)]
             coeffs[rng.randrange(5)] = 1
-            m = rng.randint(3, 16)
-            form = MgonalForm(m, tuple(coeffs))
+            forms.append(MgonalForm(rng.randint(3, 16), tuple(coeffs)))
+        for form in forms:
             bad = set(bad_primes(form))
             assert bad <= set(unit_deficient_primes(form)), form.describe()
+            assert bad <= {p for p, _ in k_constant(form).factors}, form.describe()
+        assert bad_primes(forms[0]) == (3,)
 
 
 class TestStabilityExponent:
@@ -162,6 +167,12 @@ class TestAdmissibleK:
         assert short.scanned_k == 1
         assert short.truncated is True
         assert any("k scan truncated at 1" in d for d in short.diagnostics)
+
+    def test_pair_cap_must_be_positive(self):
+        form = MgonalForm(12, (10, 9, 9, 1, 1))
+        for cap in (0, -1):
+            with pytest.raises(InputError, match="pair_cap"):
+                admissible_k(form, 52, pair_cap=cap)
 
     def test_undecided_residues_are_counted(self, monkeypatch):
         form = MgonalForm(12, (10, 9, 9, 1, 1))
