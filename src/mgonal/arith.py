@@ -142,6 +142,7 @@ def _omega2(u: int) -> int:
     return 0 if u % 8 in (1, 7) else 1
 
 
+@lru_cache(maxsize=4096)
 def hilbert_symbol(a: int, b: int, p: int) -> int:
     """+1 iff z^2 = a x^2 + b y^2 has a nontrivial p-adic solution, else -1.
 

@@ -323,17 +323,6 @@ def _matmul(a, b, mod):
     return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
-def _gram_of(A, vectors, mod):
-    """v_i^T A v_j mod ``mod``; A is symmetric, so each pair is taken once."""
-    images = [[sum(map(mul, row, v)) for row in A] for v in vectors]
-    cols = len(vectors)
-    out = [[0] * cols for _ in range(cols)]
-    for i in range(cols):
-        for j in range(i, cols):
-            out[i][j] = out[j][i] = sum(map(mul, images[i], vectors[j])) % mod
-    return out
-
-
 def _ord(x: int, p: int) -> int:
     """ord_p of a nonzero x, for a p already known to be prime;
     ``arith.ordp`` would test its primality again."""
@@ -453,10 +442,20 @@ def jordan_decompose(A, ctx: PAdicContext) -> JordanDecomposition:
     Greedy pivoting on the entry of minimal valuation; at p=2 an off-diagonal
     minimum with no matching diagonal splits off a 2x2 even unimodular plane.
     Requires precision >= 2 ord_p(det A) + 6; congruences in the result hold
-    modulo p^precision.
+    modulo p^precision.  Results are memoized per (``validate_gram`` tuple,
+    p, precision), so a list of lists gives the object its tuple gives.
     """
-    A = validate_gram(A)
-    p, E = ctx.p, ctx.precision
+    return _jordan_decompose(validate_gram(A), ctx.p, ctx.precision)
+
+
+@lru_cache(maxsize=1024)
+def _jordan_decompose(A: GramMatrix, p: int, E: int) -> JordanDecomposition:
+    """``jordan_decompose`` of a validated A.  B, the active vectors' Gram
+    matrix mod p^cur, follows their moves: a pivot on i takes lam_j B_ik
+    from B_jk; the odd-p fold v_i += v_j adds row j to row i and B_ij + B_jj
+    more to B_ii (the pivot on i that follows reads no column); the dyadic
+    plane's v_k += alpha_k v_i + beta_k v_j adds alpha_l B_ki + beta_l B_kj
+    to B_kl.  The terms left out vanish mod p^cur, so no pivot changes."""
     det = bareiss_determinant(A)
     if det == 0:
         raise InputError("matrix is singular over the p-adics")
@@ -469,60 +468,63 @@ def jordan_decompose(A, ctx: PAdicContext) -> JordanDecomposition:
     active = list(range(size))
     emitted: list[list[int]] = []
     blocks: list[tuple[int, GramMatrix]] = []
+    B = [[x % p ** cur for x in row] for row in A]
 
     while active:
         mod = p ** cur
-        B = _gram_of(A, [vectors[i] for i in active], mod)
         k = len(active)
-        scale = min(_res_ord(B[i][j], p, cur) for i in range(k) for j in range(k))
+        ords = [[_ord(x, p) if x else INFINITY for x in row] for row in B]
+        scale = min(map(min, ords))
         if scale == INFINITY:  # pragma: no cover - det bound prevents this
             raise ContractError("working precision exhausted during decomposition")
-        scale = int(scale)
-        ps = p ** scale
+        ps, red = p ** scale, p ** (cur - scale)
 
-        diag_idx = next(
-            (i for i in range(k) if _res_ord(B[i][i], p, cur) == scale), None
-        )
+        diag_idx = next((i for i in range(k) if ords[i][i] == scale), None)
 
         if diag_idx is None and p != 2:
-            # fold an off-diagonal minimum onto the diagonal: v_i += v_j
+            # fold an off-diagonal minimum onto the diagonal: v_i += v_j, and
+            # B_ii + 2 B_ij + B_jj has valuation scale, so i is the pivot
             bi, bj = next(
                 (i, j) for i in range(k) for j in range(k)
-                if i != j and _res_ord(B[i][j], p, cur) == scale
+                if i != j and ords[i][j] == scale
             )
             vi, vj = active[bi], active[bj]
             vectors[vi] = [(x + y) % mod for x, y in zip(vectors[vi], vectors[vj])]
-            continue
+            B[bi] = row = [(x + y) % mod for x, y in zip(B[bi], B[bj])]
+            row[bi] = (row[bi] + row[bj]) % mod
+            diag_idx = bi
 
         if diag_idx is not None:
             i = diag_idx
             pivot = B[i][i]
-            red = p ** (cur - scale)
             inv_unit = modinv((pivot // ps) % red, red)
+            lams = [(b // ps) * inv_unit % red for b in B[i]]
             for jj in range(k):
                 if jj == i:
                     continue
-                lam = (B[i][jj] // ps) * inv_unit % red
                 vectors[active[jj]] = [
-                    (x - lam * y) % mod
+                    (x - lams[jj] * y) % mod
                     for x, y in zip(vectors[active[jj]], vectors[active[i]])
                 ]
             blocks.append((scale, (((pivot // ps) % p ** E,),)))
             emitted.append(vectors[active[i]])
             active.pop(i)
+            B = [[(b - lam * c) % red for jj, (b, c) in enumerate(zip(row, B[i])) if jj != i]
+                 for ii, (row, lam) in enumerate(zip(B, lams)) if ii != i]
             cur -= scale
             continue
 
         # p = 2 with a strictly off-diagonal minimum: extract a 2x2 plane
         bi, bj = next(
             (i, j) for i in range(k) for j in range(k)
-            if i < j and _res_ord(B[i][j], p, cur) == scale
+            if i < j and ords[i][j] == scale
         )
-        red = p ** (cur - scale)
         a0 = (B[bi][bi] // ps) % red
         u0 = (B[bi][bj] // ps) % red
         b0 = (B[bj][bj] // ps) % red
         det2inv = modinv((a0 * b0 - u0 * u0) % red, red)
+        rest = []
+        vi_, vj_ = vectors[active[bi]], vectors[active[bj]]
         for kk in range(k):
             if kk in (bi, bj):
                 continue
@@ -530,21 +532,21 @@ def jordan_decompose(A, ctx: PAdicContext) -> JordanDecomposition:
             r1 = (B[bj][kk] // ps) % red
             alpha = (-(b0 * r0 - u0 * r1) * det2inv) % red
             beta = (-(a0 * r1 - u0 * r0) * det2inv) % red
-            vi_, vj_ = vectors[active[bi]], vectors[active[bj]]
             vectors[active[kk]] = [
                 (x + alpha * y + beta * z) % mod
                 for x, y, z in zip(vectors[active[kk]], vi_, vj_)
             ]
+            rest.append((kk, alpha, beta))
         T2, block = _split_even_binary(((a0, u0), (u0, b0)), cur - scale)
-        vi_, vj_ = vectors[active[bi]], vectors[active[bj]]
         new_i = [(T2[0][0] * x + T2[1][0] * y) % mod for x, y in zip(vi_, vj_)]
         new_j = [(T2[0][1] * x + T2[1][1] * y) % mod for x, y in zip(vi_, vj_)]
         blocks.append((scale, block))
         emitted.append(new_i)
         emitted.append(new_j)
-        for idx in sorted((bi, bj), reverse=True):
-            active.pop(idx)
+        del active[bj], active[bi]
         cur -= scale + 6
+        B = [[(B[x][y] + alpha * B[x][bi] + beta * B[x][bj]) % p ** cur
+              for y, alpha, beta in rest] for x, _, _ in rest]
 
     if cur < E:  # pragma: no cover - margin is sized to prevent this
         raise ContractError("insufficient precision margin in Jordan decomposition")
@@ -621,6 +623,7 @@ def is_bad_prime(form: MgonalForm, p: int) -> bool:
     return not is_isotropic(tail, p)
 
 
+@lru_cache(maxsize=4096)
 def eq2_stability_depth(form: MgonalForm, p: int) -> int:
     """Stability exponent e at p: solvability verdicts of the auxiliary
     equation are invariant under k -> k + p^e.  With d the reduced
@@ -731,7 +734,9 @@ def _certify(y, val, lin, lead, scale_a1, p):
     with every derivative 0 certifies as (y, None).  A nonzero value of
     valuation v is first tested against p^((v+1)//2): unless some
     derivative is nonzero modulo it, t is too large, and the node is
-    rejected before any derivative valuation is taken."""
+    rejected before any derivative valuation is taken.  As t >= t_min + w
+    (see ``_eq2_walk``), the walk calls this only on a value that is 0 or
+    divisible by p^(2(t_min + w) + 1); no other value can certify."""
     derivs = [lt * (scale_a1 * yi - lin) for lt, yi in zip(lead, y)]
     if val:
         cut = p ** ((_ord(val, p) + 1) // 2)
@@ -775,12 +780,17 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
 
     Children are generated lazily in lexicographic order, so the first
     certified node is returned without building the rest of its level.
-    Each node's sums s and q are taken once, and its value and every
-    derivative come from them.
+    Each node's value is worked out inline.  Every derivative
+    lead_i (scale a_1 y_i - lin) has valuation at least t_min + w, with
+    t_min = min ord(2 scale a_i) and w = min(ord(scale a_1), ord(lin)), so
+    ``_certify`` is asked only where the value is 0 or p^(2(t_min + w) + 1)
+    divides it: no other node can certify.
     """
     n = len(tail)
     lead = [2 * scale * t for t in tail]
     scale_a1 = scale * a1
+    w_a, t_min = _ord(scale_a1, p), min(_ord(lt, p) for lt in lead)
+    bounds = [p ** (2 * (t_min + w) + 1) for w in range(w_a + 1)]
     budget_hit = False
     nodes = product(range(2), repeat=n) if p == 2 else \
         _eq2_roots(c, R, scale, a1, tail, p)
@@ -792,11 +802,16 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
             if seen == EQ2_NODE_BUDGET or y is None:  # a cut level
                 budget_hit = True
                 break
-            val, lin = _eq2_terms(c, R, scale, a1, tail, y)
+            s = q = 0
+            for t, yi in zip(tail, y):
+                s += t * yi
+                q += t * yi * yi
+            lin = c - scale * s
+            val = lin * lin + scale_a1 * scale * q - R
             if level == 1 and (val % p or not any(y)):  # p = 2 yields every y
                 continue
-            found = _certify(y, val, lin, lead, scale_a1, p)
-            if found is not None:
+            if (not val or val % bounds[min(w_a, _ord(lin, p)) if lin else w_a] == 0) \
+                    and (found := _certify(y, val, lin, lead, scale_a1, p)) is not None:
                 return found, budget_hit
             if val % next_mod == 0:
                 survivors.append(y)

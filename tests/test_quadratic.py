@@ -18,7 +18,7 @@ from mgonal import (
     reduced_quadratic,
 )
 import mgonal.quadratic as quadratic
-from mgonal.arith import PAdicContext, least_nonresidue, legendre_symbol
+from mgonal.arith import PAdicContext, least_nonresidue, legendre_symbol, ordp
 from mgonal.quadratic import (
     EQ2_MARGIN,
     EQ2_PRIMITIVE,
@@ -672,6 +672,42 @@ class TestEq2:
         assert shapes == {"quadratic", "linear", "no z", "every z",
                           "eff = 0, c^2 = R: True", "eff = 0, c^2 = R: False",
                           "tail = 0, c^2 = R: True", "tail = 0, c^2 = R: False"}
+
+    def test_certify_needs_the_valuation_bound(self):
+        """The walk asks ``_certify`` only where the value is 0 or
+        p^(2(t_min + w) + 1) divides it, with t_min = min ord(2 scale a_i)
+        and w = min(ord(scale a_1), ord(lin)).  At seeded nodes, R is set so
+        that the value has a drawn valuation, and no nonzero value below
+        the bound certifies.  The sample meets w = ord(scale a_1), w =
+        ord(lin) < ord(scale a_1) and lin = 0, and a value of exactly the
+        bound's valuation that certifies, so the bound cannot be raised."""
+        rng = random.Random(2604)
+        kinds, tight = set(), False
+        for _ in range(4000):
+            p = rng.choice((2, 3, 5, 7, 11))
+            n = rng.randint(1, 4)
+            scale = p ** rng.randint(0, 2)
+            a1 = rng.randint(1, 20) * (p if rng.random() < 0.3 else 1)
+            tail = tuple(rng.randint(1, 20) * p ** rng.choice((0, 0, 1)) for _ in range(n))
+            y = tuple(rng.randrange(p ** 3) for _ in range(n))
+            c = rng.randint(-300, 300)
+            if rng.random() < 0.2:
+                c = scale * sum(t * yi for t, yi in zip(tail, y))  # lin = 0
+            unit = p * rng.randint(0, 9) + rng.randint(1, p - 1)
+            R = quadratic._eq2_terms(c, 0, scale, a1, tail, y)[0] - unit * p ** rng.randint(0, 9)
+            val, lin = quadratic._eq2_terms(c, R, scale, a1, tail, y)
+            lead = [2 * scale * t for t in tail]
+            if quadratic._certify(y, val, lin, lead, scale * a1, p) is None:
+                continue
+            t_min = min(ordp(lt, p) for lt in lead)
+            w_a = ordp(scale * a1, p)
+            w = min(w_a, ordp(lin, p))
+            bound = 2 * (t_min + w) + 1
+            assert val % p ** bound == 0, (c, R, scale, a1, tail, p, y)
+            kinds.add("lin = 0" if lin == 0 else "ord(scale a_1)" if w == w_a else "ord(lin)")
+            tight |= ordp(val, p) == bound
+        assert kinds == {"lin = 0", "ord(scale a_1)", "ord(lin)"}
+        assert tight
 
     def test_large_prime_rank_three_calls(self):
         # past the congruence ceiling: <1,1,1009>_5 at (3, 1, 2) has no root
