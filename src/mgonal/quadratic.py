@@ -442,20 +442,17 @@ def jordan_decompose(A, ctx: PAdicContext) -> JordanDecomposition:
     Greedy pivoting on the entry of minimal valuation; at p=2 an off-diagonal
     minimum with no matching diagonal splits off a 2x2 even unimodular plane.
     Requires precision >= 2 ord_p(det A) + 6; congruences in the result hold
-    modulo p^precision.  Results are memoized per (``validate_gram`` tuple,
-    p, precision), so a list of lists gives the object its tuple gives.
+    modulo p^precision.
+
+    B, the active vectors' Gram matrix mod p^cur, follows their moves: a
+    pivot on i takes lam_j B_ik from B_jk; the odd-p fold v_i += v_j adds
+    row j to row i and B_ij + B_jj more to B_ii (the pivot on i that follows
+    reads no column); the dyadic plane's v_k += alpha_k v_i + beta_k v_j
+    adds alpha_l B_ki + beta_l B_kj to B_kl.  The terms left out vanish mod
+    p^cur, so no pivot changes.
     """
-    return _jordan_decompose(validate_gram(A), ctx.p, ctx.precision)
-
-
-@lru_cache(maxsize=1024)
-def _jordan_decompose(A: GramMatrix, p: int, E: int) -> JordanDecomposition:
-    """``jordan_decompose`` of a validated A.  B, the active vectors' Gram
-    matrix mod p^cur, follows their moves: a pivot on i takes lam_j B_ik
-    from B_jk; the odd-p fold v_i += v_j adds row j to row i and B_ij + B_jj
-    more to B_ii (the pivot on i that follows reads no column); the dyadic
-    plane's v_k += alpha_k v_i + beta_k v_j adds alpha_l B_ki + beta_l B_kj
-    to B_kl.  The terms left out vanish mod p^cur, so no pivot changes."""
+    A = validate_gram(A)
+    p, E = ctx.p, ctx.precision
     det = bareiss_determinant(A)
     if det == 0:
         raise InputError("matrix is singular over the p-adics")
@@ -623,7 +620,6 @@ def is_bad_prime(form: MgonalForm, p: int) -> bool:
     return not is_isotropic(tail, p)
 
 
-@lru_cache(maxsize=4096)
 def eq2_stability_depth(form: MgonalForm, p: int) -> int:
     """Stability exponent e at p: solvability verdicts of the auxiliary
     equation are invariant under k -> k + p^e.  With d the reduced
@@ -780,7 +776,8 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
 
     Children are generated lazily in lexicographic order, so the first
     certified node is returned without building the rest of its level.
-    Each node's value is worked out inline.  Every derivative
+    Each node's sums s and q are taken once, and its value and every
+    derivative come from them.  Every derivative
     lead_i (scale a_1 y_i - lin) has valuation at least t_min + w, with
     t_min = min ord(2 scale a_i) and w = min(ord(scale a_1), ord(lin)), so
     ``_certify`` is asked only where the value is 0 or p^(2(t_min + w) + 1)
@@ -802,12 +799,7 @@ def _eq2_walk(c, R, scale, a1, tail, p, depth):
             if seen == EQ2_NODE_BUDGET or y is None:  # a cut level
                 budget_hit = True
                 break
-            s = q = 0
-            for t, yi in zip(tail, y):
-                s += t * yi
-                q += t * yi * yi
-            lin = c - scale * s
-            val = lin * lin + scale_a1 * scale * q - R
+            val, lin = _eq2_terms(c, R, scale, a1, tail, y)
             if level == 1 and (val % p or not any(y)):  # p = 2 yields every y
                 continue
             if (not val or val % bounds[min(w_a, _ord(lin, p)) if lin else w_a] == 0) \

@@ -13,7 +13,6 @@ from mgonal import (
     ordp,
 )
 from mgonal.arith import least_nonresidue, legendre_symbol
-from mgonal.quadratic import _jordan_decompose
 
 
 def _reconstruction_holds(A, dec):
@@ -79,23 +78,32 @@ def test_precision_precondition():
         jordan_decompose(((81, 0), (0, 81)), PAdicContext(3, 12))
 
 
-def _random_symmetric(rng, size, p, max_ord=3):
+def _random_symmetric(rng, size, p, max_ord=3, mixed=False):
+    """A nonsingular symmetric matrix with ord_p(det) <= max_ord; with
+    ``mixed``, each entry carries a drawn power p^0..p^2."""
     while True:
         A = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(i, size):
-                A[i][j] = A[j][i] = rng.randint(-100, 100)
+                A[i][j] = A[j][i] = rng.randint(-100, 100) * (
+                    p ** rng.choice((0, 0, 1, 2)) if mixed else 1)
         det = bareiss_determinant(A)
         if det != 0 and ordp(det, p) <= max_ord:
             return tuple(tuple(row) for row in A)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_random_reconstruction(p):
+    """The last 25 matrices have entries of mixed valuation, so the
+    elimination's carried Gram matrix meets each of its moves with vectors
+    still active after it: a diagonal pivot (a 1x1 block before the last),
+    at odd p the fold (A's least valuation lies only off the diagonal) and
+    at p = 2 the dyadic plane (a 2x2 block before the last)."""
     rng = random.Random(31 + p)
-    for _ in range(25):
+    met = set()
+    for trial in range(50):
         size = rng.randint(2, 6)
-        A = _random_symmetric(rng, size, p)
+        A = _random_symmetric(rng, size, p, mixed=trial >= 25)
         dec = jordan_decompose(A, PAdicContext(p, 12))
         assert _reconstruction_holds(A, dec)
         scales = [s for s, _ in dec.blocks]
@@ -114,51 +122,11 @@ def test_random_reconstruction(p):
             for s, b in dec.blocks
         )
         assert recon_det_ord == int(ordp(bareiss_determinant(A), p))
-
-
-def test_carried_gram_meets_every_update():
-    """The elimination carries the active vectors' Gram matrix through its
-    moves.  On seeded nonsingular symmetric matrices of rank 2-6 at p <= 13,
-    with entries of mixed valuation, each move is met with vectors still
-    active after it: a diagonal pivot (a 1x1 block before the last), the
-    odd-p fold (A's least valuation lies only off the diagonal) and the
-    dyadic plane (a 2x2 block before the last).  Every result reconstructs
-    A, with nondecreasing scales and a unit transform determinant."""
-    rng = random.Random(2611)
-    met = set()
-    for p in (2, 3, 5, 7, 11, 13):
-        for _ in range(40):
-            size = rng.randint(2, 6)
-            while True:
-                A = [[0] * size for _ in range(size)]
-                for i in range(size):
-                    for j in range(i, size):
-                        A[i][j] = A[j][i] = rng.randint(-30, 30) * p ** rng.choice((0, 0, 1, 2))
-                det = bareiss_determinant(A)
-                if det and ordp(det, p) <= 8:
-                    break
-            A = tuple(map(tuple, A))
-            dec = jordan_decompose(A, PAdicContext(p, 2 * ordp(det, p) + 6 + rng.randint(0, 4)))
-            assert _reconstruction_holds(A, dec), (A, p)
-            scales = [s for s, _ in dec.blocks]
-            assert scales == sorted(scales)
-            assert bareiss_determinant(dec.transform) % p != 0
-            least = min(ordp(x, p) for row in A for x in row)
-            if p != 2 and all(ordp(A[i][i], p) > least for i in range(size)):
-                met.add("fold")
-            met.update("pivot" if len(b) == 1 else "plane" for _, b in dec.blocks[:-1])
-    assert met == {"pivot", "fold", "plane"}
-
-
-def test_memo_keys_on_the_validated_tuple():
-    """Decompositions are memoized per (validated Gram tuple, p, precision):
-    a list of lists gets the object that its tuple got, from the memo."""
-    A = ((2, 1, 0), (1, 4, 3), (0, 3, 10))
-    first = jordan_decompose(A, PAdicContext(3, 12))
-    hits = _jordan_decompose.cache_info().hits
-    assert jordan_decompose([list(row) for row in A], PAdicContext(3, 12)) is first
-    assert _jordan_decompose.cache_info().hits == hits + 1
-    assert jordan_decompose(A, PAdicContext(3, 13)).precision == 13
+        least = min(ordp(x, p) for row in A for x in row)
+        if p != 2 and all(ordp(A[i][i], p) > least for i in range(size)):
+            met.add("fold")
+        met.update("pivot" if len(b) == 1 else "plane" for _, b in dec.blocks[:-1])
+    assert met == {"pivot", "plane" if p == 2 else "fold"}
 
 
 def _random_unimodular(rng, size):
